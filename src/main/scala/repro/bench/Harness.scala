@@ -1,10 +1,9 @@
 package repro.bench
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
 import repro.core._
 import repro.data._
-import repro.fd.{AttrSet => AS, _}
+import repro.fd._
 import repro.views._
 
 /** Shared machinery for the benchmark suites reproducing the paper's
@@ -108,20 +107,12 @@ object Harness {
     val schema = res.schema
     val eval   = new ViewEval(schema, cat)
     val rows   = eval.eval(w.spec).count()
-    val cov = topJoin(w.spec).map { j =>
+    val cov = w.spec.topJoin.map { j =>
       val (l, r2) = (eval.eval(j.left), eval.eval(j.right))
       Coverage.of(eval.eval(j), l, r2,
-        j.on.map(p => s"a${schema.id(p._1)}"), j.on.map(p => s"a${schema.id(p._2)}"))
+        j.on.map(p => schema.colName(p._1)), j.on.map(p => schema.colName(p._2)))
     }.getOrElse(1.0)
     InFineRun(res, secs, peak / (1024 * 1024), rows, cov, io)
-  }
-
-  /** The outermost join of a view specification, skipping σ/π wrappers. */
-  def topJoin(spec: ViewSpec): Option[Join] = spec match {
-    case j: Join        => Some(j)
-    case Project(_, in) => topJoin(in)
-    case Select(_, in)  => topJoin(in)
-    case _: Rel         => None
   }
 
   /** Stage shares as in the paper's Table III / Figure 5 pies: base FDs are
@@ -138,13 +129,8 @@ object Harness {
 
   /** Mine the FDs of one base table (for Table I). */
   def baseTableFds(db: String, table: String): (Int, Long, Int) = {
-    val df   = catalog(db)(table)
-    val n    = df.count()
-    val ids  = IndexedSeq.tabulate(df.columns.length)(identity)
-    val named = df.columns.zipWithIndex.foldLeft(df) { case (d, (c, i)) =>
-      d.withColumnRenamed(c, s"a$i")
-    }
-    val fds = Tane.mine(EncodedTable.fromDataFrame(named.select(ids.map(i => col(s"a$i")): _*), ids))
-    (df.columns.length, n, fds.size)
+    val df  = catalog(db)(table)
+    val fds = Tane.mine(EncodedTable.fromDataFrame(df, df.columns.indices))
+    (df.columns.length, df.count(), fds.size)
   }
 }

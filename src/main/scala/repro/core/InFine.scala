@@ -2,7 +2,6 @@ package repro.core
 
 import scala.collection.mutable
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.fd.{AttrSet => AS, _}
 import repro.views._
 
@@ -58,17 +57,13 @@ object InFine {
       val minedAttrs: AS.T,
       val stats: InFineStats,
       val deadline: Deadline,
-      val baseMiner: Miner,
   ) {
-    /** Validator over `df` restricted to `universe` (columns `a<idx>`).
-      * Lazy: the instance is only counted/collected when a candidate check
-      * actually needs data, so purely-logical stages cost no Spark job.
+    /** Validator over `df` restricted to `universe`. Lazy: the instance is
+      * only counted/collected when a candidate check actually needs data,
+      * so purely-logical stages cost no Spark job.
       */
-    def validatorFor(df: DataFrame, universe: AS.T): FDValidator = {
-      val ids = AS.toSeq(universe)
-      new LazyValidator(() =>
-        Validator.forDataFrame(df.select(ids.map(i => col(s"a$i")): _*), ids))
-    }
+    def validatorFor(df: DataFrame, universe: AS.T): FDValidator =
+      new LazyValidator(() => Validator.forDataFrame(df, universe))
   }
 
   def run(spec: ViewSpec, catalog: Map[String, DataFrame],
@@ -78,46 +73,41 @@ object InFine {
     val eval   = new ViewEval(schema, catalog)
     val stats  = new InFineStats
     val aV     = schema.idsOf(spec)
-    val ctx    = new Context(schema, eval, aV, stats, deadline, baseMiner)
-
-    // Step 1 (lines #3–5): FDs of each base-relation instance, limited to
-    // the attributes surviving the view's projections.
-    val baseFds = mutable.Map.empty[String, Set[FD]]
-    spec.rels.foreach { r =>
-      val mineable = AS.intersect(schema.attrsOf(r.alias), aV)
-      baseFds(r.alias) = stats.time("base") {
-        if (AS.isEmpty(mineable)) Set.empty
-        else {
-          val df  = eval.relDf(r).select(AS.toSeq(mineable).map(i => col(s"a$i")): _*)
-          val tbl = EncodedTable.fromDataFrame(df, AS.toSeq(mineable))
-          baseMiner.mine(tbl, deadline)
-        }
-      }
-    }
-
-    val root = provFDs(ctx, spec, baseFds.toMap)
-    InFineResult(schema, root.triples, stats)
+    val ctx    = new Context(schema, eval, aV, stats, deadline)
+    val base   = stats.time("base")(baseTriples(eval, spec, aV, baseMiner, deadline))
+    InFineResult(schema, provFDs(ctx, spec, base).triples, stats)
   }
 
+  /** Step 1 (lines #3–5): `miner`'s FDs of each base-relation instance of
+    * `spec`, limited to the attributes `aV` surviving the view's
+    * projections, as "base" triples by alias.
+    */
+  def baseTriples(eval: ViewEval, spec: ViewSpec, aV: AS.T, miner: Miner,
+                  deadline: Deadline): Map[String, Set[ProvenanceTriple]] =
+    spec.rels.map { r =>
+      val mineable = AS.intersect(eval.schema.attrsOf(r.alias), aV)
+      val fds = if (AS.isEmpty(mineable)) Set.empty[FD]
+                else miner.mine(Columns.encode(eval.relDf(r), mineable), deadline)
+      r.alias -> fds.map(ProvenanceTriple(_, FDType.Base, r))
+    }.toMap
+
   /** The recursive subroutine of Algorithm 1. */
-  def provFDs(ctx: Context, spec: ViewSpec, baseFds: Map[String, Set[FD]]): NodeResult =
+  def provFDs(ctx: Context, spec: ViewSpec, base: Map[String, Set[ProvenanceTriple]]): NodeResult =
     spec match {
       case r: Rel =>
-        val df = ctx.eval.relDf(r)
-        val triples = baseFds(r.alias).map(d => ProvenanceTriple(d, FDType.Base, r))
-        NodeResult(r, df, ctx.schema.attrsOf(r.alias), triples)
+        NodeResult(r, ctx.eval.relDf(r), ctx.schema.attrsOf(r.alias), base(r.alias))
 
       case p @ Project(attrs, in) =>
         // Mining was restricted to A_V up-front (Section IV-A): recursion
         // only narrows the instance; FDs over dropped attributes were never
         // mined, and Theorem 1 says no new FDs can appear.
-        val child = provFDs(ctx, in, baseFds)
+        val child = provFDs(ctx, in, base)
         val keep  = AS.fromIterable(attrs.map(ctx.schema.id))
         val triples = child.triples.filter(t => AS.subsetOf(t.fd.attrs, keep))
         NodeResult(p, ctx.eval.eval(p), keep, triples)
 
       case s @ Select(_, in) =>
-        val child = provFDs(ctx, in, baseFds)
+        val child = provFDs(ctx, in, base)
         val df    = ctx.eval.eval(s).cache()
         val up    = ctx.stats.time("selection") {
           SelectionFDs(ctx, child, df)
@@ -127,8 +117,8 @@ object InFine {
         NodeResult(s, df, child.attrs, triples)
 
       case j @ Join(l, r, on, kind) =>
-        val lRes = provFDs(ctx, l, baseFds)
-        val rRes = provFDs(ctx, r, baseFds)
+        val lRes = provFDs(ctx, l, base)
+        val rRes = provFDs(ctx, r, base)
         joinNode(ctx, j, lRes, rRes, on, kind)
     }
 
@@ -187,8 +177,7 @@ object InFine {
         // Algorithm 4 — inferred FDs (transitivity through join attributes,
         // refined on partial joins).
         val inferred = ctx.stats.time("inferred") {
-          InferFDs(ctx, joinValidator, leftKnown, rightKnown,
-            lKeys, rKeys, lRes.attrs, rRes.attrs, knownAfterUp)
+          InferFDs(ctx, joinValidator, leftKnown, rightKnown, lKeys, rKeys, knownAfterUp)
         }
 
         // Algorithm 5 — remaining join FDs via selective mining.
@@ -217,18 +206,8 @@ object InFine {
           LatticeSearch.mineNew(universe, ctx.validatorFor(df, universe),
             Set.empty[FD], ctx.deadline)
         }
-        val childByFd = (lRes.triples ++ rRes.triples).map(t => t.fd -> t).toMap
-        val triples = mined.map { d =>
-          childByFd.get(d).getOrElse {
-            val tpe =
-              if (AS.subsetOf(d.attrs, lRes.attrs)) FDType.UpstagedLeft
-              else if (AS.subsetOf(d.attrs, rRes.attrs)) FDType.UpstagedRight
-              else if (FDSet.implies(lRes.fds ++ rRes.fds, d)) FDType.Inferred
-              else FDType.JoinFD
-            ProvenanceTriple(d, tpe, j)
-          }
-        }
-        NodeResult(j, df, attrs, triples)
+        NodeResult(j, df, attrs, Provenance.classify(mined, lRes.triples ++ rRes.triples,
+          Some((lRes.attrs, rRes.attrs)), j))
     }
   }
 
@@ -240,9 +219,9 @@ object InFine {
     */
   def merge(existing: Set[ProvenanceTriple],
             fresh: Iterable[ProvenanceTriple]): Set[ProvenanceTriple] = {
-    val freshKept = fresh.filterNot(t => existing.exists(_.fd == t.fd))
-    val all  = existing ++ freshKept
-    val fds  = all.map(_.fd)
-    all.filter(t => !fds.exists(o => o != t.fd && o.generalizes(t.fd)))
+    val known   = existing.map(t => t.fd -> t).toMap
+    val all     = known ++ fresh.iterator.filterNot(t => known.contains(t.fd)).map(t => t.fd -> t)
+    val minimal = FDSet.minimize(all.keys)
+    all.values.filter(t => minimal(t.fd)).toSet
   }
 }

@@ -22,9 +22,7 @@ object InferFDs {
 
   def apply(ctx: InFine.Context, joinValidator: FDValidator,
             leftKnown: Set[FD], rightKnown: Set[FD],
-            lKeys: Seq[Int], rKeys: Seq[Int],
-            leftAttrs: AS.T, rightAttrs: AS.T,
-            known: Set[FD]): Set[FD] = {
+            lKeys: Seq[Int], rKeys: Seq[Int], known: Set[FD]): Set[FD] = {
     val xSet = AS.fromIterable(lKeys)
     val ySet = AS.fromIterable(rKeys)
     val out  = mutable.Set.empty[FD]

@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.functions.col
-import repro.fd.{AttrSet => AS, FD, FDValidator, LatticeSearch}
+import repro.fd.{AttrSet => AS, Columns, FD, FDValidator, LatticeSearch}
 
 /** Algorithm 3 — upstaged FDs appearing through a join.
   *
@@ -25,9 +24,9 @@ object JoinUpFDs {
            joinValidator: FDValidator): Set[FD] = {
     val universe = AS.intersect(side.attrs, ctx.minedAttrs)
     if (AS.isEmpty(universe)) return Set.empty
-    val keyDf = other.df.select(otherKeys.map(i => col(s"a$i")): _*)
+    val keyDf = Columns.select(other.df, AS.fromIterable(otherKeys))
     val cond = sideKeys.zip(otherKeys).map { case (x, y) =>
-      side.df(s"a$x") === keyDf(s"a$y")
+      side.df(Columns.name(x)) === keyDf(Columns.name(y))
     }.reduce(_ && _)
     val semi = side.df.join(keyDf, cond, "left_semi")
     if (semi.count() >= side.count) return Set.empty

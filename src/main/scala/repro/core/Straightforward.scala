@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.fd.{AttrSet => AS, _}
+import repro.fd._
 import repro.views._
 
 /** The "straightforward" comparison pipeline of the paper's experiments:
@@ -36,35 +36,17 @@ object Straightforward {
 
     // 2. Classical FD discovery over the materialized result.
     val aV  = schema.idsOf(spec)
-    val ids = AS.toSeq(aV)
     val t1  = System.nanoTime()
-    val tbl = EncodedTable.fromDataFrame(
-      df.select(ids.map(i => org.apache.spark.sql.functions.col(s"a$i")): _*), ids)
-    val fds = miner.mine(tbl, deadline)
+    val fds = miner.mine(Columns.encode(df, aV), deadline)
     val tMine = (System.nanoTime() - t1) / 1e9
 
     // 3. Provenance recovery: compare with the base-table FD sets (mined
-    // separately — that cost is excluded on both sides, as in the paper).
+    // separately — that cost is excluded on both sides, as in the paper)
+    // and with the two sides of the top join.
     val t2 = System.nanoTime()
-    val baseFds = spec.rels.flatMap { r =>
-      val mineable = AS.intersect(schema.attrsOf(r.alias), aV)
-      if (AS.isEmpty(mineable)) Set.empty[FD]
-      else {
-        val bdf  = eval.relDf(r).select(AS.toSeq(mineable).map(i =>
-          org.apache.spark.sql.functions.col(s"a$i")): _*)
-        miner.mine(EncodedTable.fromDataFrame(bdf, AS.toSeq(mineable)), deadline)
-      }
-    }.toSet
-    val sideAttrs = spec.rels.map(r => schema.attrsOf(r.alias))
-    val triples = fds.map { d =>
-      val tpe =
-        if (baseFds.contains(d)) FDType.Base
-        else if (sideAttrs.exists(s => AS.subsetOf(d.attrs, s)))
-          FDType.UpstagedLeft // single-table FD not valid on the base table
-        else if (FDSet.implies(baseFds, d)) FDType.Inferred
-        else FDType.JoinFD
-      ProvenanceTriple(d, tpe, spec)
-    }
+    val base    = InFine.baseTriples(eval, spec, aV, miner, deadline).values.flatten.toSet
+    val sides   = spec.topJoin.map(j => (schema.idsOf(j.left), schema.idsOf(j.right)))
+    val triples = Provenance.classify(fds, base, sides, spec)
     val tDiff = (System.nanoTime() - t2) / 1e9
 
     df.unpersist()

@@ -11,8 +11,11 @@ object AttrSet {
 
   val empty: T = 0L
 
+  /** Most attributes a set can hold: the bits of one Long. */
+  final val capacity = 64
+
   def single(i: Int): T = {
-    require(i >= 0 && i < 64, s"attribute index out of range: $i")
+    require(i >= 0 && i < capacity, s"attribute index out of range: $i")
     1L << i
   }
 

@@ -58,48 +58,35 @@ object EncodedTable {
     * instances stay in Spark and are checked via [[Validator.SparkValidator]].
     */
   def fromDataFrame(df: DataFrame, attrIds: IndexedSeq[Int]): EncodedTable = {
-    val rows  = df.collect()
     val width = df.columns.length
     require(width == attrIds.size,
       s"schema mismatch: df has $width cols, ${attrIds.size} attr ids given")
-    val cols = Array.ofDim[Array[Int]](width)
-    var c = 0
-    while (c < width) {
-      val dict = new java.util.HashMap[Any, Integer]()
-      val out  = new Array[Int](rows.length)
-      var r = 0
-      while (r < rows.length) {
-        val v    = rows(r).get(c) // null hashes fine in HashMap
-        var code = dict.get(v)
-        if (code == null) { code = dict.size(); dict.put(v, code) }
-        out(r) = code
-        r += 1
-      }
-      cols(c) = out
-      c += 1
-    }
-    new EncodedTable(cols, attrIds)
+    encode(scala.collection.immutable.ArraySeq.unsafeWrapArray(df.collect()), attrIds)(_.get(_))
   }
 
   /** Row-major literal construction for tests. */
   def fromRows(rows: Seq[Seq[Any]], attrIds: IndexedSeq[Int]): EncodedTable = {
-    val width = attrIds.size
-    require(rows.forall(_.size == width))
-    val cols = Array.ofDim[Array[Int]](width)
-    var c = 0
-    while (c < width) {
+    require(rows.forall(_.size == attrIds.size))
+    encode(rows.toIndexedSeq, attrIds)(_(_))
+  }
+
+  /** The dictionary loop: per column, each distinct value (null included,
+    * hashed like any other) gets the next dense code.
+    */
+  private def encode[R](rows: IndexedSeq[R], attrIds: IndexedSeq[Int])
+                       (cell: (R, Int) => Any): EncodedTable = {
+    val cols = Array.tabulate(attrIds.size) { c =>
       val dict = new java.util.HashMap[Any, Integer]()
       val out  = new Array[Int](rows.length)
       var r = 0
       while (r < rows.length) {
-        val v    = rows(r)(c)
+        val v    = cell(rows(r), c)
         var code = dict.get(v)
         if (code == null) { code = dict.size(); dict.put(v, code) }
         out(r) = code
         r += 1
       }
-      cols(c) = out
-      c += 1
+      out
     }
     new EncodedTable(cols, attrIds)
   }

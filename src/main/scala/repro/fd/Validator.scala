@@ -2,7 +2,6 @@ package repro.fd
 
 import scala.collection.mutable
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.fd.{AttrSet => AS}
 
 /** Validity oracle for candidate FDs over one instance. Attribute indices
@@ -44,7 +43,7 @@ final class SparkValidator(val df: DataFrame) extends FDValidator {
   lazy val nRows: Long = cached.count()
   def cardinality(attrs: AS.T): Long = cards.getOrElseUpdate(attrs, {
     if (AS.isEmpty(attrs)) math.min(1L, nRows)
-    else cached.select(AS.toSeq(attrs).map(i => col(s"a$i")): _*).distinct().count()
+    else Columns.select(cached, attrs).distinct().count()
   })
 }
 
@@ -71,12 +70,12 @@ object Validator {
   def collectThreshold: Long =
     sys.props.get("spark.infine.collectThreshold").map(_.toLong).getOrElse(2_000_000L)
 
-  /** Pick the driver or Spark path for `df` (columns `a<idx>` for each global
-    * attribute in `attrIds`) based on its row count.
+  /** Pick the driver or Spark path for the columns of `attrs` in `df`
+    * based on its row count.
     */
-  def forDataFrame(df: DataFrame, attrIds: IndexedSeq[Int]): FDValidator = {
-    val n = df.count()
-    if (n <= collectThreshold) new DriverValidator(EncodedTable.fromDataFrame(df, attrIds))
-    else new SparkValidator(df)
+  def forDataFrame(df: DataFrame, attrs: AS.T): FDValidator = {
+    val projected = Columns.select(df, attrs)
+    if (projected.count() <= collectThreshold) new DriverValidator(Columns.encode(projected, attrs))
+    else new SparkValidator(projected)
   }
 }

@@ -10,19 +10,19 @@ import org.apache.spark.sql.functions.{col, lit}
   * Output columns are the schema's `a<idx>` names — globally unique, so
   * multi-instance self-joins and the oracle's column matching are safe.
   */
-final class ViewEval(schema: ViewSchema, catalog: Map[String, DataFrame]) {
+final class ViewEval(val schema: ViewSchema, catalog: Map[String, DataFrame]) {
 
   /** Base-relation instance with columns renamed to global `a<idx>` names. */
   def relDf(r: Rel): DataFrame = {
     val df = catalog.getOrElse(r.table, sys.error(s"unknown base table ${r.table}"))
     df.columns.foldLeft(df) { (acc, c) =>
-      acc.withColumnRenamed(c, schema.colName(schema.id(AttrRef(r.alias, c))))
+      acc.withColumnRenamed(c, schema.colName(AttrRef(r.alias, c)))
     }
   }
 
   private def predColumn(p: Pred): Column = p match {
     case Pred.Cmp(a, op, v) =>
-      val c = col(schema.colName(schema.id(a)))
+      val c = col(schema.colName(a))
       op match {
         case "="  => c === lit(v)
         case "<>" => c =!= lit(v)
@@ -39,19 +39,19 @@ final class ViewEval(schema: ViewSchema, catalog: Map[String, DataFrame]) {
   def eval(spec: ViewSpec): DataFrame = spec match {
     case r: Rel => relDf(r)
     case Project(attrs, in) =>
-      eval(in).select(attrs.map(a => col(schema.colName(schema.id(a)))): _*)
+      eval(in).select(attrs.map(a => col(schema.colName(a))): _*)
     case Select(p, in) => eval(in).filter(predColumn(p))
     case Join(l, r, on, JoinKind.RightSemi) =>
       // Spark has no right_semi: ⋊ is ⋉ with the sides swapped.
       val (ldf, rdf) = (eval(l), eval(r))
       val cond = on.map { case (a, b) =>
-        rdf(schema.colName(schema.id(b))) === ldf(schema.colName(schema.id(a)))
+        rdf(schema.colName(b)) === ldf(schema.colName(a))
       }.reduce(_ && _)
       rdf.join(ldf, cond, "left_semi")
     case Join(l, r, on, kind) =>
       val (ldf, rdf) = (eval(l), eval(r))
       val cond = on.map { case (a, b) =>
-        ldf(schema.colName(schema.id(a))) === rdf(schema.colName(schema.id(b)))
+        ldf(schema.colName(a)) === rdf(schema.colName(b))
       }.reduce(_ && _)
       ldf.join(rdf, cond, kind.sparkType)
   }
@@ -71,7 +71,7 @@ final class ViewEval(schema: ViewSchema, catalog: Map[String, DataFrame]) {
     */
   private def sqlPred(p: Pred): String = p match {
     case Pred.Cmp(a, op, v) =>
-      val c = s"a${schema.id(a)}"
+      val c = schema.colName(a)
       val numeric = v.isInstanceOf[Int] || v.isInstanceOf[Long] || v.isInstanceOf[Double]
       if (numeric && op != "=" && op != "<>") s"CAST($c AS DOUBLE) $op ${sqlLit(v)}"
       else if (numeric) s"CAST($c AS DOUBLE) $op CAST(${sqlLit(v)} AS DOUBLE)"
@@ -83,15 +83,15 @@ final class ViewEval(schema: ViewSchema, catalog: Map[String, DataFrame]) {
   def toSql(spec: ViewSpec): String = spec match {
     case r: Rel =>
       val cols = schema.refs.zipWithIndex
-        .collect { case (ref, i) if ref.alias == r.alias => s"${ref.column} AS a$i" }
+        .collect { case (ref, i) if ref.alias == r.alias => s"${ref.column} AS ${schema.colName(i)}" }
       s"(SELECT ${cols.mkString(", ")} FROM ${r.table})"
     case Project(attrs, in) =>
-      val cols = attrs.map(a => s"a${schema.id(a)}")
+      val cols = attrs.map(a => schema.colName(a))
       s"(SELECT ${cols.mkString(", ")} FROM ${toSql(in)} t)"
     case Select(p, in) =>
       s"(SELECT * FROM ${toSql(in)} t WHERE ${sqlPred(p)})"
     case Join(l, r, on, kind) =>
-      val cond = on.map { case (a, b) => s"l.a${schema.id(a)} = r.a${schema.id(b)}" }
+      val cond = on.map { case (a, b) => s"l.${schema.colName(a)} = r.${schema.colName(b)}" }
         .mkString(" AND ")
       kind match {
         case JoinKind.LeftSemi =>

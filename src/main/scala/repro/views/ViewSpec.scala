@@ -1,6 +1,6 @@
 package repro.views
 
-import repro.fd.{AttrSet => AS}
+import repro.fd.{AttrSet => AS, Columns}
 
 /** A reference to an attribute of a base-relation *instance*: `alias.column`.
   * Aliases matter because a view may use the same base table twice
@@ -55,6 +55,14 @@ sealed trait ViewSpec {
     case Select(_, in)   => in.rels
     case Join(l, r, _, _) => l.rels ++ r.rels
   }
+
+  /** The outermost join, skipping σ/π wrappers. */
+  def topJoin: Option[Join] = this match {
+    case j: Join        => Some(j)
+    case Project(_, in) => in.topJoin
+    case Select(_, in)  => in.topJoin
+    case _: Rel         => None
+  }
 }
 
 final case class Rel(table: String, alias: String) extends ViewSpec
@@ -96,7 +104,8 @@ final class ViewSchema private (val refs: IndexedSeq[AttrRef]) {
   def id(ref: AttrRef): Int =
     index.getOrElse(ref, sys.error(s"unknown attribute $ref (have ${refs.mkString(", ")})"))
   def ref(id: Int): AttrRef      = refs(id)
-  def colName(id: Int): String   = s"a$id"
+  def colName(id: Int): String   = Columns.name(id)
+  def colName(ref: AttrRef): String = colName(id(ref))
   def prettyName(id: Int): String = refs(id).toString
   def attrsOf(alias: String): AS.T =
     AS.fromIterable(refs.zipWithIndex.collect { case (r, i) if r.alias == alias => i })
@@ -111,6 +120,8 @@ object ViewSchema {
     */
   def of(spec: ViewSpec, columnsOf: String => Seq[String]): ViewSchema = {
     val refs = spec.rels.flatMap(r => columnsOf(r.table).map(c => AttrRef(r.alias, c)))
+    require(refs.size <= AS.capacity,
+      s"view has ${refs.size} attributes, over the ${AS.capacity}-attribute limit of AttrSet")
     new ViewSchema(refs.toIndexedSeq)
   }
 

@@ -1,14 +1,16 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{StringType, StructField, StructType}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.fd.{Columns, FD, Tane}
+import repro.views.{ViewEval, ViewSchema, ViewSpec}
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
+  * SPARK_DRIVER_MEM, or else half of physical memory clamped to 2–8 GB. Broadcast joins are disabled so shuffle/join papers actually
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
   * paper's contribution is the broadcast side.
   */
@@ -16,6 +18,26 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** An all-string table with columns `cols`; each cell is its value's
+    * `toString`, and null stays null.
+    */
+  def df(cols: Seq[String], rows: Seq[Seq[Any]]): DataFrame = {
+    val schema = StructType(cols.map(c => StructField(c, StringType)))
+    spark.createDataFrame(
+      spark.sparkContext.parallelize(
+        rows.map(r => Row(r.map(v => if (v == null) null else v.toString): _*))),
+      schema)
+  }
+
+  /** The reference FD set of a view: materialize it, encode its projected
+    * attributes and mine them with TANE, independent of InFine and of the
+    * straightforward pipeline.
+    */
+  def directFds(spec: ViewSpec, catalog: Map[String, DataFrame]): Set[FD] = {
+    val schema = ViewSchema.of(spec, t => catalog(t).columns.toSeq)
+    Tane.mine(Columns.encode(new ViewEval(schema, catalog).eval(spec), schema.idsOf(spec)))
+  }
 }
 
 object SparkSpec {

@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.types._
 import repro.SparkSpec
 import repro.fd.{AttrSet => AS, _}
 import repro.views._
@@ -13,12 +11,6 @@ import repro.views._
   * the materialized view.
   */
 class InFineSpec extends SparkSpec {
-
-  private def df(cols: Seq[String], rows: Seq[Seq[Any]]): DataFrame = {
-    val schema = StructType(cols.map(c => StructField(c, StringType)))
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(rows.map(r => Row(r.map(_.toString): _*))), schema)
-  }
 
   // PATIENT: pid is almost a key; #257 has a duplicate with conflicting dod,
   // and #257/#3/#4 have no admissions.
@@ -44,14 +36,6 @@ class InFineSpec extends SparkSpec {
   private val joinSpec = Join(Rel("patient"), Rel("admission"),
     Seq((AttrRef("patient", "pid"), AttrRef("admission", "pid"))))
 
-  private def materializedFds(spec: ViewSpec): Set[FD] = {
-    val schema = ViewSchema.of(spec, t => catalog(t).columns.toSeq)
-    val eval   = new ViewEval(schema, catalog)
-    val ids    = AS.toSeq(schema.idsOf(spec))
-    val d      = eval.eval(spec).select(ids.map(i => org.apache.spark.sql.functions.col(s"a$i")): _*)
-    Tane.mine(EncodedTable.fromDataFrame(d, ids))
-  }
-
   private lazy val result = InFine.run(joinSpec, catalog)
   private lazy val schema = result.schema
 
@@ -60,7 +44,7 @@ class InFineSpec extends SparkSpec {
     FD(AS.fromIterable(lhs.map { case (a, c) => id(a, c) }), id(rhs._1, rhs._2))
 
   test("InFine equals direct mining on the materialized view (running example)") {
-    val direct = materializedFds(joinSpec)
+    val direct = directFds(joinSpec, catalog)
     assert(result.fds == direct,
       s"\nmissing=${(direct -- result.fds).map(schema.renderFd)}" +
       s"\nextra=${(result.fds -- direct).map(schema.renderFd)}")
@@ -104,10 +88,8 @@ class InFineSpec extends SparkSpec {
   }
 
   test("every reported FD holds on the view (correctness, Theorem 6)") {
-    val eval = new ViewEval(schema, catalog)
-    val ids  = AS.toSeq(schema.idsOf(joinSpec))
-    val v    = new DriverValidator(EncodedTable.fromDataFrame(
-      eval.eval(joinSpec).select(ids.map(i => org.apache.spark.sql.functions.col(s"a$i")): _*), ids))
+    val view = new ViewEval(schema, catalog).eval(joinSpec)
+    val v    = new DriverValidator(Columns.encode(view, schema.idsOf(joinSpec)))
     result.fds.foreach(d => assert(v.holds(d.lhs, d.rhs), schema.renderFd(d)))
   }
 
@@ -123,7 +105,7 @@ class InFineSpec extends SparkSpec {
   test("selection on top of the join: upstaged selection FDs appear") {
     val sel = Select(Pred.Cmp(AttrRef("admission", "insurance"), "=", "Medicare"), joinSpec)
     val res = InFine.run(sel, catalog)
-    val direct = materializedFds(sel)
+    val direct = directFds(sel, catalog)
     assert(res.fds == direct,
       s"\nmissing=${(direct -- res.fds).map(res.schema.renderFd)}" +
       s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
@@ -140,7 +122,7 @@ class InFineSpec extends SparkSpec {
           AttrRef("admission", "insurance")),
       joinSpec)
     val res    = InFine.run(proj, catalog)
-    val direct = materializedFds(proj)
+    val direct = directFds(proj, catalog)
     assert(res.fds == direct,
       s"\nmissing=${(direct -- res.fds).map(res.schema.renderFd)}" +
       s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
@@ -152,7 +134,7 @@ class InFineSpec extends SparkSpec {
     val semi = Join(Rel("patient"), Rel("admission"),
       Seq((AttrRef("patient", "pid"), AttrRef("admission", "pid"))), JoinKind.LeftSemi)
     val res    = InFine.run(semi, catalog)
-    val direct = materializedFds(semi)
+    val direct = directFds(semi, catalog)
     assert(res.fds == direct,
       s"\nmissing=${(direct -- res.fds).map(res.schema.renderFd)}" +
       s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
@@ -163,7 +145,7 @@ class InFineSpec extends SparkSpec {
     val outer = Join(Rel("patient"), Rel("admission"),
       Seq((AttrRef("patient", "pid"), AttrRef("admission", "pid"))), JoinKind.LeftOuter)
     val res    = InFine.run(outer, catalog)
-    val direct = materializedFds(outer)
+    val direct = directFds(outer, catalog)
     assert(res.fds == direct,
       s"\nmissing=${(direct -- res.fds).map(res.schema.renderFd)}" +
       s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")

@@ -23,6 +23,25 @@ class ProvenanceSpec extends AnyFunSuite {
     assert(s == "(l.a -> r.b, \"joinFD\", (l ⋈[l.k=r.k2] r))")
   }
 
+  test("classify keeps input triples and types new FDs by side, implication, then join") {
+    // l = {0, 1}, r = {2, 3}; input FDs 0→1 (base) and 1→2 (base).
+    val inputs = Set(
+      ProvenanceTriple(FD(AS.of(0), 1), FDType.Base, Rel("l")),
+      ProvenanceTriple(FD(AS.of(1), 2), FDType.Base, Rel("r")))
+    val mined = Set(FD(AS.of(0), 1), FD(AS.empty, 0), FD(AS.of(3), 2),
+      FD(AS.of(0), 2), FD(AS.of(1, 3), 0))
+    val types = Provenance.classify(mined, inputs, Some((AS.of(0, 1), AS.of(2, 3))), spec)
+      .map(t => t.fd -> (t.fdType, t.subquery)).toMap
+    assert(types == Map(
+      FD(AS.of(0), 1)    -> (FDType.Base, Rel("l")),
+      FD(AS.empty, 0)    -> (FDType.UpstagedLeft, spec),
+      FD(AS.of(3), 2)    -> (FDType.UpstagedRight, spec),
+      FD(AS.of(0), 2)    -> (FDType.Inferred, spec),
+      FD(AS.of(1, 3), 0) -> (FDType.JoinFD, spec)))
+    val noJoin = Provenance.classify(Set(FD(AS.empty, 0)), Set.empty, None, Rel("l"))
+    assert(noJoin.map(_.fdType) == Set(FDType.UpstagedSelection))
+  }
+
   test("merge keeps the earlier triple on duplicate FDs") {
     val d  = FD(AS.of(0), 1)
     val t1 = ProvenanceTriple(d, FDType.Base, Rel("l"))

@@ -1,10 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
-import repro.fd.{AttrSet => AS, _}
 import repro.views._
 
 /** Adversarial completeness check: InFine vs direct mining on randomized
@@ -12,12 +9,6 @@ import repro.views._
   * exercises join/selection/projection combinations the 16 workloads don't.
   */
 class RandomViewSpec extends SparkSpec {
-
-  private def df(cols: Seq[String], rows: Seq[Seq[Any]]): DataFrame = {
-    val schema = StructType(cols.map(c => StructField(c, StringType)))
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(rows.map(r => Row(r.map(_.toString): _*))), schema)
-  }
 
   private def randomCatalog(rnd: scala.util.Random): Map[String, DataFrame] = {
     def table(name: String, nCols: Int): (String, DataFrame) = {
@@ -49,14 +40,6 @@ class RandomViewSpec extends SparkSpec {
       val keep   = refs.filter(_ => rnd.nextDouble() < 0.7)
       if (keep.size >= 2) Project(keep, withSel) else withSel
     } else withSel
-  }
-
-  private def directFds(spec: ViewSpec, catalog: Map[String, DataFrame]): Set[FD] = {
-    val schema = ViewSchema.of(spec, t => catalog(t).columns.toSeq)
-    val eval   = new ViewEval(schema, catalog)
-    val ids    = AS.toSeq(schema.idsOf(spec))
-    val d      = eval.eval(spec).select(ids.map(i => col(s"a$i")): _*)
-    Tane.mine(EncodedTable.fromDataFrame(d, ids))
   }
 
   (0 until 12).foreach { seed =>

@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.types._
 import repro.SparkSpec
 import repro.fd.{AttrSet => AS, _}
 import repro.views._
@@ -10,12 +8,6 @@ import repro.views._
   * 2–5), on instances where each stage's trigger condition can be toggled.
   */
 class StagesSpec extends SparkSpec {
-
-  private def df(cols: Seq[String], rows: Seq[Seq[Any]]): DataFrame = {
-    val schema = StructType(cols.map(c => StructField(c, StringType)))
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(rows.map(r => Row(r.map(_.toString): _*))), schema)
-  }
 
   test("selectionFDs is skipped when the filter drops nothing") {
     val t = df(Seq("a", "b"), Seq(Seq("1", "x"), Seq("2", "x")))
@@ -121,6 +113,20 @@ class StagesSpec extends SparkSpec {
     assert(sf.viewRows == 2)
     assert(sf.triples.map(_.fd) == sf.fds)
     assert(sf.totalSeconds >= sf.viewSeconds)
+  }
+
+  test("Straightforward labels a right-side FD that holds only on the join upstaged right") {
+    // ∅→w holds on l ⋈ r (r's w=y row has no partner) but not on r.
+    val l = df(Seq("k"), Seq(Seq("1"), Seq("2")))
+    val r = df(Seq("k2", "w"), Seq(Seq("1", "x"), Seq("2", "x"), Seq("3", "y")))
+    val spec = Join(Rel("l"), Rel("r"), Seq((AttrRef("l", "k"), AttrRef("r", "k2"))))
+    val catalog = Map("l" -> l, "r" -> r)
+    val sf  = Straightforward.run(spec, catalog, Tane)
+    val d   = FD(AS.empty, sf.schema.id(AttrRef("r", "w")))
+    val sfT = sf.triples.find(_.fd == d)
+    assert(sfT.map(_.fdType).contains(FDType.UpstagedRight), sf.triples)
+    val infT = InFine.run(spec, catalog).triples.find(_.fd == d)
+    assert(infT.map(_.fdType) == sfT.map(_.fdType))
   }
 
   Seq[Miner](Tane, Fun, FastFDs, HyFD).foreach { m =>

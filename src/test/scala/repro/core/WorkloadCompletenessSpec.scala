@@ -1,10 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.data.Workloads
-import repro.fd.{AttrSet => AS, _}
-import repro.views._
 
 /** The reproduction's central invariant (paper Theorems 5–6): on every one
   * of the 16 experimental SPJ views, InFine's provenance-annotated FD set is
@@ -14,14 +11,6 @@ import repro.views._
 class WorkloadCompletenessSpec extends SparkSpec {
 
   private val sfOf = Map("MIMIC3" -> 0.002, "PTE" -> 0.02, "PTC" -> 0.02, "TPC-H" -> 0.001)
-
-  private def directFds(spec: ViewSpec, catalog: Map[String, org.apache.spark.sql.DataFrame]): Set[FD] = {
-    val schema = ViewSchema.of(spec, t => catalog(t).columns.toSeq)
-    val eval   = new ViewEval(schema, catalog)
-    val ids    = AS.toSeq(schema.idsOf(spec))
-    val d      = eval.eval(spec).select(ids.map(i => col(s"a$i")): _*)
-    Tane.mine(EncodedTable.fromDataFrame(d, ids))
-  }
 
   Workloads.all.foreach { w =>
     test(s"${w.db}: ${w.name} — InFine == direct mining on the view") {

@@ -63,7 +63,7 @@ class ValidatorSpec extends SparkSpec with PropHelper {
 
   test("Validator.forDataFrame picks driver path under threshold") {
     val d = df(rows, 3)
-    assert(Validator.forDataFrame(d, IndexedSeq(0, 1, 2)).isInstanceOf[DriverValidator])
+    assert(Validator.forDataFrame(d, AS.of(0, 1, 2)).isInstanceOf[DriverValidator])
   }
 
   test("Validator.forDataFrame picks Spark path over threshold") {
@@ -71,7 +71,7 @@ class ValidatorSpec extends SparkSpec with PropHelper {
     sys.props("spark.infine.collectThreshold") = "2"
     try {
       val d = df(rows, 3)
-      assert(Validator.forDataFrame(d, IndexedSeq(0, 1, 2)).isInstanceOf[SparkValidator])
+      assert(Validator.forDataFrame(d, AS.of(0, 1, 2)).isInstanceOf[SparkValidator])
     } finally {
       prev match {
         case Some(p) => sys.props("spark.infine.collectThreshold") = p

@@ -1,16 +1,8 @@
 package repro.views
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.types._
 import repro.SparkSpec
 
 class CoverageSpec extends SparkSpec {
-
-  private def df(cols: Seq[String], rows: Seq[Seq[Any]]): DataFrame = {
-    val schema = StructType(cols.map(c => StructField(c, StringType)))
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(rows.map(r => Row(r.map(_.toString): _*))), schema)
-  }
 
   test("coverage 1.0 when the join is a bijection") {
     val l = df(Seq("k"), Seq(Seq("1"), Seq("2")))

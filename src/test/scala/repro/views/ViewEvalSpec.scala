@@ -1,18 +1,8 @@
 package repro.views
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
 
 class ViewEvalSpec extends SparkSpec {
-
-  private def df(cols: Seq[String], rows: Seq[Seq[Any]]): DataFrame = {
-    val schema = StructType(cols.map(c => StructField(c, StringType)))
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(
-        rows.map(r => Row(r.map(v => if (v == null) null else v.toString): _*))),
-      schema)
-  }
 
   private val patients = df(Seq("pid", "gender", "score"), Seq(
     Seq("1", "M", "5"), Seq("2", "F", "7"), Seq("3", "F", "9"), Seq("4", "M", "2")))

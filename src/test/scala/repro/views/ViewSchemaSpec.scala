@@ -22,6 +22,14 @@ class ViewSchemaSpec extends AnyFunSuite {
     assert(schema.prettyName(2) == "s.k2")
   }
 
+  test("a view over more than 64 attributes is rejected with its attribute count") {
+    val wide = Map("r" -> Seq("k", "a"), "s" -> (0 until 63).map(i => s"c$i"))
+    val e = intercept[IllegalArgumentException](ViewSchema.of(join, wide))
+    assert(e.getMessage.contains("65 attributes"))
+    assert(e.getMessage.contains("64-attribute"))
+    assert(ViewSchema.of(join, wide.updated("r", Seq("k"))).size == 64)
+  }
+
   test("unknown attribute raises with a helpful message") {
     val schema = ViewSchema.of(join, cols)
     val e = intercept[RuntimeException](schema.id(AttrRef("r", "nope")))
