@@ -6,10 +6,10 @@ import repro.fd.{AttrSet => AS, _}
 import repro.views._
 
 /** Per-stage wall-clock accounting mirroring the paper's Table III /
-  * Figure 5 breakdown. Semijoin materialization counts into upstageFDs;
-  * partial-join checks into their owning stage (refine → inferFDs,
-  * candidate validation → mineFDs), exactly as the paper attributes the
-  * partial SPJ computation to mineFDs.
+  * Figure 5 breakdown. Semijoin size checks count into `upstaged`; candidate
+  * checks on a join node's shared validator count into the stage that runs
+  * them (refine → `inferred`, join-FD search → `mine`), and the join
+  * instance is materialized inside whichever stage checks a candidate first.
   */
 final class InFineStats {
   val nanos = mutable.Map.empty[String, Long].withDefaultValue(0L)
@@ -58,12 +58,12 @@ object InFine {
       val stats: InFineStats,
       val deadline: Deadline,
   ) {
-    /** Validator over `df` restricted to `universe`. Lazy: the instance is
-      * only counted/collected when a candidate check actually needs data,
+    /** Validator over `df` restricted to `attrs` ∩ A_V. Lazy: the instance
+      * is only counted/collected when a candidate check actually needs data,
       * so purely-logical stages cost no Spark job.
       */
-    def validatorFor(df: DataFrame, universe: AS.T): FDValidator =
-      new LazyValidator(() => Validator.forDataFrame(df, universe))
+    def validatorFor(df: DataFrame, attrs: AS.T): FDValidator =
+      new LazyValidator(() => Validator.forDataFrame(df, AS.intersect(attrs, minedAttrs)))
   }
 
   def run(spec: ViewSpec, catalog: Map[String, DataFrame],
@@ -110,7 +110,7 @@ object InFine {
         val child = provFDs(ctx, in, base)
         val df    = ctx.eval.eval(s).cache()
         val up    = ctx.stats.time("selection") {
-          SelectionFDs(ctx, child, df)
+          upstaged(ctx, child, df, ctx.validatorFor(df, child.attrs))
         }
         val triples = merge(child.triples,
           up.map(d => ProvenanceTriple(d, FDType.UpstagedSelection, s)))
@@ -138,11 +138,7 @@ object InFine {
         val side  = if (kind == JoinKind.LeftSemi) lRes else rRes
         val tpe   = if (kind == JoinKind.LeftSemi) FDType.UpstagedLeft else FDType.UpstagedRight
         val up = ctx.stats.time("upstaged") {
-          val universe = AS.intersect(side.attrs, ctx.minedAttrs)
-          if (df.count() < side.count && !AS.isEmpty(universe))
-            LatticeSearch.mineNew(universe, ctx.validatorFor(df, universe),
-              side.fds, ctx.deadline)
-          else Set.empty[FD]
+          upstaged(ctx, side, df, ctx.validatorFor(df, side.attrs))
         }
         NodeResult(j, df, side.attrs,
           merge(side.triples, up.map(d => ProvenanceTriple(d, tpe, j))))
@@ -152,12 +148,17 @@ object InFine {
         // One lazily-materialized validator serves every stage of this join
         // node; if logical pruning leaves nothing to check, the joined
         // instance is never computed at all.
-        val joinValidator = ctx.validatorFor(df, AS.intersect(attrs, ctx.minedAttrs))
+        val joinValidator = ctx.validatorFor(df, attrs)
 
-        // Algorithm 3 — upstaged left/right via semijoin size checks.
+        // Algorithm 3 — upstaged left/right via semijoin size checks. The
+        // FDs over side I's attributes that hold on I ⋈ J are exactly those
+        // of I ⋉ J: the join only duplicates rows equal on I, which cannot
+        // violate an FD over I (Lemma 2). So the semijoin is only counted,
+        // and candidates are checked on the shared join validator, whose
+        // distinct counts over one side equal the semijoin's.
         val (leftUp, rightUp) = ctx.stats.time("upstaged") {
-          (JoinUpFDs.side(ctx, lRes, rRes, lKeys, rKeys, joinValidator),
-           JoinUpFDs.side(ctx, rRes, lRes, rKeys, lKeys, joinValidator))
+          (upstaged(ctx, lRes, ctx.eval.eval(j.copy(kind = JoinKind.LeftSemi)), joinValidator),
+           upstaged(ctx, rRes, ctx.eval.eval(j.copy(kind = JoinKind.RightSemi)), joinValidator))
         }
         val leftKnown  = lRes.fds ++ leftUp
         val rightKnown = rRes.fds ++ rightUp
@@ -175,7 +176,7 @@ object InFine {
         val knownAfterUp = leftKnown ++ rightKnown ++ equalities
 
         // Algorithm 4 — inferred FDs (transitivity through join attributes,
-        // refined on partial joins).
+        // refined on the shared join validator).
         val inferred = ctx.stats.time("inferred") {
           InferFDs(ctx, joinValidator, leftKnown, rightKnown, lKeys, rKeys, knownAfterUp)
         }
@@ -200,15 +201,26 @@ object InFine {
         // fall back to a direct pruned mining of the sub-view and classify
         // against the children (none of the paper's 16 experimental views
         // uses an outer join).
-        val attrs    = AS.union(lRes.attrs, rRes.attrs)
-        val universe = AS.intersect(attrs, ctx.minedAttrs)
+        val attrs = AS.union(lRes.attrs, rRes.attrs)
         val mined = ctx.stats.time("mine") {
-          LatticeSearch.mineNew(universe, ctx.validatorFor(df, universe),
-            Set.empty[FD], ctx.deadline)
+          LatticeSearch.mineNew(AS.intersect(attrs, ctx.minedAttrs),
+            ctx.validatorFor(df, attrs), Set.empty[FD], ctx.deadline)
         }
         NodeResult(j, df, attrs, Provenance.classify(mined, lRes.triples ++ rRes.triples,
           Some((lRes.attrs, rRes.attrs)), j))
     }
+  }
+
+  /** Algorithms 2–3: the new minimal FDs over `parent`'s attributes in A_V
+    * that hold on `sub`, a selection or semijoin of `parent` checked through
+    * `validator`. Only a sub-instance that lost tuples can gain FDs (line
+    * #4 / #14); the search is pruned by `parent`'s FDs (lines #8–9).
+    */
+  private def upstaged(ctx: Context, parent: NodeResult, sub: DataFrame,
+                       validator: FDValidator): Set[FD] = {
+    val universe = AS.intersect(parent.attrs, ctx.minedAttrs)
+    if (AS.isEmpty(universe) || sub.count() >= parent.count) Set.empty
+    else LatticeSearch.mineNew(universe, validator, parent.fds, ctx.deadline)
   }
 
   /** Combine existing triples with newly discovered ones, then drop any FD

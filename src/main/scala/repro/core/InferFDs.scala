@@ -1,7 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
-import repro.fd.{AttrSet => AS, FD, FDSet, FDValidator}
+import repro.fd.{AttrSet => AS, FD, FDSet, FDValidator, LatticeSearch}
 
 /** Algorithm 4 — inferred FDs of an inner equi-join.
   *
@@ -12,11 +12,11 @@ import repro.fd.{AttrSet => AS, FD, FDSet, FDValidator}
   * trivial `X → X`); `b` ranges over the closure of the other side's join
   * attributes.
   *
-  * `refine`: each inferred `A → b` is minimized against the data — subsets
-  * `A' ⊂ A` are checked bottom-up on the partial join
-  * `π_{X∪A'}(L) ⋈ π_{Y∪{b}}(R)`. With the Spark validator this is exactly a
-  * partition-pruned scan: Catalyst's column pruning pushes the projections
-  * below the join, so only the needed columns are read.
+  * `refine`: each inferred `A → b` is minimized against the data — a
+  * lattice search over the subsets `A' ⊆ A` for the minimal ones with
+  * `A' → b`, pruned by the known FDs and by those refined so far. Every
+  * candidate is checked on the node's one shared join validator: the
+  * cached join, projected to A_V.
   */
 object InferFDs {
 
@@ -44,23 +44,9 @@ object InferFDs {
     }
 
     /** Subroutine refine: minimal valid sub-FDs of `cand` on the join. */
-    def refine(cand: FD): Unit = {
-      val subsets = AS.allSubsets(cand.lhs).sortBy(AS.size)
-      val minimalValid = mutable.ArrayBuffer.empty[AS.T]
-      subsets.foreach { a =>
-        if (!minimalValid.exists(m => AS.subsetOf(m, a))) {
-          val d = FD(a, cand.rhs)
-          // Prune with already-known FDs (a known generalization makes this
-          // subset valid-but-not-new) before touching the data.
-          if (FDSet.subsumedBy(known, d) || FDSet.subsumedBy(out, d)) {
-            minimalValid += a // valid: blocks supersets, but already known
-          } else if (joinValidator.holds(a, cand.rhs)) {
-            minimalValid += a
-            out += d
-          }
-        }
-      }
-    }
+    def refine(cand: FD): Unit =
+      out ++= LatticeSearch.mineNew(cand.lhs, joinValidator, known ++ out, ctx.deadline,
+        rhsSpace = Some(AS.single(cand.rhs)))
 
     direction(leftKnown, xSet, rightKnown, ySet)
     direction(rightKnown, ySet, leftKnown, xSet)

@@ -11,9 +11,8 @@ import repro.fd.{AttrSet => AS, FD, FDValidator, LatticeSearch}
   * RHS `b`, or `b` is a join attribute (determined by its twin). LHS
   * candidates must make the FD span both sides (Definition 7); everything
   * already subsumed by base / upstaged / inferred FDs is pruned before any
-  * data access, and each surviving candidate is validated on a partial
-  * join — with the Spark validator, a column-pruned `distinct` count where
-  * Catalyst pushes the projections below the join.
+  * data access, and each surviving candidate is checked on the node's one
+  * shared join validator: the cached join, projected to A_V.
   */
 object MineFDs {
 

@@ -7,9 +7,10 @@ import repro.fd.{AttrSet => AS}
   * given a set of FDs already known to hold on it.
   *
   * This is the engine behind the paper's Algorithms 2 (selectionFDs),
-  * 3 (upstagedFDs) and 5 (mineFDs): candidates subsumed by a known valid FD
-  * with the same RHS are pruned without touching the data (lines #8–9 /
-  * #18–19 of the paper's pseudo-code) and superkeys stop LHS expansion.
+  * 3 (upstagedFDs), 4 (refine) and 5 (mineFDs): candidates subsumed by a
+  * known valid FD with the same RHS are pruned without touching the data
+  * (lines #8–9 / #18–19 of the paper's pseudo-code) and superkeys stop LHS
+  * expansion.
   *
   * Pruning is deliberately *subsumption-only*, not full logical implication:
   * the target output is the set of all minimal FDs of the instance — the
@@ -25,7 +26,9 @@ object LatticeSearch {
     *
     * @param universe   global attributes spanning the LHS search space
     * @param known      FDs already known to hold on this instance
-    * @param rhsSpace   admissible RHS attributes (defaults to `universe`)
+    * @param rhsSpace   admissible RHS attributes (defaults to `universe`);
+    *                   may lie outside `universe`, as when Algorithm 4's
+    *                   refine minimizes `A → b` over the subsets of `A`
     * @param candFilter extra admissibility predicate on (lhs, rhs)
     *                   candidates (e.g. Algorithm 5 requires the FD to span
     *                   both join sides); must be monotone in the sense that

@@ -43,11 +43,7 @@ final class ViewEval(val schema: ViewSchema, catalog: Map[String, DataFrame]) {
     case Select(p, in) => eval(in).filter(predColumn(p))
     case Join(l, r, on, JoinKind.RightSemi) =>
       // Spark has no right_semi: ⋊ is ⋉ with the sides swapped.
-      val (ldf, rdf) = (eval(l), eval(r))
-      val cond = on.map { case (a, b) =>
-        rdf(schema.colName(b)) === ldf(schema.colName(a))
-      }.reduce(_ && _)
-      rdf.join(ldf, cond, "left_semi")
+      eval(Join(r, l, on.map(_.swap), JoinKind.LeftSemi))
     case Join(l, r, on, kind) =>
       val (ldf, rdf) = (eval(l), eval(r))
       val cond = on.map { case (a, b) =>

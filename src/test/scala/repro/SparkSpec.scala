@@ -2,7 +2,6 @@ package repro
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 import repro.fd.{Columns, FD, Tane}
 import repro.views.{ViewEval, ViewSchema, ViewSpec}
@@ -10,14 +9,10 @@ import repro.views.{ViewEval, ViewSchema, ViewSpec}
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM, or else half of physical memory clamped to 2–8 GB. Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM, or else half of physical memory clamped to 2–8 GB.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 
   /** An all-string table with columns `cols`; each cell is its value's
     * `toString`, and null stays null.

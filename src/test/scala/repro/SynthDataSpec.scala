@@ -19,22 +19,6 @@ class SynthDataSpec extends SparkSpec {
     assert(SynthData.part(spark, 0.001).select("p_partkey").distinct().count() == 200)
   }
 
-  test("zipf keys are skewed: top key far above the mean") {
-    val z = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000)
-    val counts = z.groupBy("k").count()
-    val top  = counts.agg(max("count")).collect()(0).getLong(0)
-    val mean = 20000.0 / counts.count()
-    assert(top > mean * 5, s"top=$top mean=$mean")
-  }
-
-  test("uniform keys cover the domain roughly evenly") {
-    val u = SynthData.uniformKeys(spark, rows = 20000, nKeys = 100)
-    val counts = u.groupBy("k").count()
-    assert(counts.count() == 100)
-    val mx = counts.agg(max("count")).collect()(0).getLong(0)
-    assert(mx < 2000, s"max per key $mx")
-  }
-
   test("lineitem foreign keys stay in range") {
     val li = SynthData.lineitem(spark, 0.001)
     val bad = li.filter(col("l_orderkey") < 1 || col("l_orderkey") > 1500 ||

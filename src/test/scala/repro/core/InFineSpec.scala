@@ -131,14 +131,19 @@ class InFineSpec extends SparkSpec {
   }
 
   test("semi-join view behaves like a one-sided selection") {
-    val semi = Join(Rel("patient"), Rel("admission"),
-      Seq((AttrRef("patient", "pid"), AttrRef("admission", "pid"))), JoinKind.LeftSemi)
-    val res    = InFine.run(semi, catalog)
-    val direct = directFds(semi, catalog)
-    assert(res.fds == direct,
-      s"\nmissing=${(direct -- res.fds).map(res.schema.renderFd)}" +
-      s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
-    assert(res.triples.exists(_.fdType == FDType.UpstagedLeft))
+    // patient ⋉ admission and admission ⋊ patient keep the same patient rows.
+    val on = Seq((AttrRef("patient", "pid"), AttrRef("admission", "pid")))
+    Seq(
+      Join(Rel("patient"), Rel("admission"), on, JoinKind.LeftSemi) -> FDType.UpstagedLeft,
+      Join(Rel("admission"), Rel("patient"), on.map(_.swap), JoinKind.RightSemi) -> FDType.UpstagedRight,
+    ).foreach { case (semi, upstaged) =>
+      val res    = InFine.run(semi, catalog)
+      val direct = directFds(semi, catalog)
+      assert(res.fds == direct, semi.render +
+        s"\nmissing=${(direct -- res.fds).map(res.schema.renderFd)}" +
+        s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
+      assert(res.triples.exists(_.fdType == upstaged), semi.render)
+    }
   }
 
   test("outer join fallback still matches direct mining") {

@@ -67,6 +67,19 @@ class LatticeSearchSpec extends AnyFunSuite with PropHelper {
     }
   }
 
+  test("property: an rhsSpace {b} outside the universe A gives BruteMiner's FDs → b on A ∪ {b}") {
+    val gen = for {
+      t <- genTable.suchThat(_.width >= 2)
+      b <- Gen.choose(0, t.width - 1)
+      a <- Gen.someOf((0 until t.width).filter(_ != b))
+    } yield (t, AS.fromIterable(a), b)
+    forAllN(gen, 120) { case (t, a, b) =>
+      val got = LatticeSearch.mineNew(a, new DriverValidator(t), Set.empty[FD],
+        rhsSpace = Some(AS.single(b)))
+      assert(got == BruteMiner.mine(t.project(AS.add(a, b))).filter(_.rhs == b))
+    }
+  }
+
   test("property: known ∪ mineNew == full set, and outputs are disjoint from known") {
     forAllN(genTable, 120) { t =>
       val all = BruteMiner.mine(t)
