@@ -34,23 +34,13 @@ final case class InFineResult(
     .map(_.render(schema))
 }
 
-/** Intermediate result of `provFDs` on a sub-view: its evaluated instance,
-  * its projected global attributes, and the provenance triples of every
-  * minimal FD holding on it.
-  */
-final case class NodeResult(spec: ViewSpec, df: DataFrame, attrs: AS.T,
-                            triples: Set[ProvenanceTriple]) {
-  def fds: Set[FD] = triples.map(_.fd)
-  lazy val count: Long = df.count()
-}
-
 /** InFine — Algorithm 1. Mines base-table FDs restricted to the view's
   * projected attributes, then recursively derives the FDs (with provenance)
   * of every sub-view without ever materializing the full view for mining.
   */
 object InFine {
 
-  final class Context(
+  private final class Context(
       val schema: ViewSchema,
       val eval: ViewEval,
       /** A_V — the view's projected attributes (paper line #2). */
@@ -65,6 +55,21 @@ object InFine {
     def validatorFor(df: DataFrame, attrs: AS.T): FDValidator =
       new LazyValidator(() => Validator.forDataFrame(df, AS.intersect(attrs, minedAttrs)))
   }
+
+  /** Intermediate result of `provFDs` on a sub-view: its evaluated instance,
+    * its projected global attributes, and the provenance triples of every
+    * minimal FD holding on it.
+    */
+  private final case class NodeResult(df: DataFrame, attrs: AS.T,
+                                      triples: Set[ProvenanceTriple]) {
+    def fds: Set[FD] = triples.map(_.fd)
+    lazy val count: Long = df.count()
+  }
+
+  /** One input of an inner join: its attributes, its join attributes, and
+    * its own plus its upstaged FDs.
+    */
+  private final case class Side(attrs: AS.T, keys: AS.T, known: Set[FD])
 
   def run(spec: ViewSpec, catalog: Map[String, DataFrame],
           baseMiner: Miner = Tane,
@@ -92,10 +97,10 @@ object InFine {
     }.toMap
 
   /** The recursive subroutine of Algorithm 1. */
-  def provFDs(ctx: Context, spec: ViewSpec, base: Map[String, Set[ProvenanceTriple]]): NodeResult =
+  private def provFDs(ctx: Context, spec: ViewSpec, base: Map[String, Set[ProvenanceTriple]]): NodeResult =
     spec match {
       case r: Rel =>
-        NodeResult(r, ctx.eval.relDf(r), ctx.schema.attrsOf(r.alias), base(r.alias))
+        NodeResult(ctx.eval.relDf(r), ctx.schema.attrsOf(r.alias), base(r.alias))
 
       case p @ Project(attrs, in) =>
         // Mining was restricted to A_V up-front (Section IV-A): recursion
@@ -104,7 +109,7 @@ object InFine {
         val child = provFDs(ctx, in, base)
         val keep  = AS.fromIterable(attrs.map(ctx.schema.id))
         val triples = child.triples.filter(t => AS.subsetOf(t.fd.attrs, keep))
-        NodeResult(p, ctx.eval.eval(p), keep, triples)
+        NodeResult(ctx.eval.eval(p), keep, triples)
 
       case s @ Select(_, in) =>
         val child = provFDs(ctx, in, base)
@@ -114,33 +119,28 @@ object InFine {
         }
         val triples = merge(child.triples,
           up.map(d => ProvenanceTriple(d, FDType.UpstagedSelection, s)))
-        NodeResult(s, df, child.attrs, triples)
+        NodeResult(df, child.attrs, triples)
 
-      case j @ Join(l, r, on, kind) =>
-        val lRes = provFDs(ctx, l, base)
-        val rRes = provFDs(ctx, r, base)
-        joinNode(ctx, j, lRes, rRes, on, kind)
+      case j @ Join(l, r, _, _) =>
+        joinNode(ctx, j, provFDs(ctx, l, base), provFDs(ctx, r, base))
     }
 
-  private def joinNode(ctx: Context, j: Join, lRes: NodeResult, rRes: NodeResult,
-                       on: Seq[(AttrRef, AttrRef)], kind: JoinKind): NodeResult = {
+  private def joinNode(ctx: Context, j: Join, lRes: NodeResult, rRes: NodeResult): NodeResult = {
     val schema = ctx.schema
     // Cached, but lazy: nothing is computed until a stage actually touches
     // the joined instance (upstage size checks touch only semijoins).
     val df     = ctx.eval.eval(j).cache()
-    val lKeys  = on.map { case (a, _) => schema.id(a) }
-    val rKeys  = on.map { case (_, b) => schema.id(b) }
 
-    kind match {
+    j.kind match {
       case JoinKind.LeftSemi | JoinKind.RightSemi =>
         // A semijoin is a selection of one side (Definition 3: proj keeps
         // that side only) — upstaged FDs mined exactly like Algorithm 2.
-        val side  = if (kind == JoinKind.LeftSemi) lRes else rRes
-        val tpe   = if (kind == JoinKind.LeftSemi) FDType.UpstagedLeft else FDType.UpstagedRight
+        val side  = if (j.kind == JoinKind.LeftSemi) lRes else rRes
+        val tpe   = if (j.kind == JoinKind.LeftSemi) FDType.UpstagedLeft else FDType.UpstagedRight
         val up = ctx.stats.time("upstaged") {
           upstaged(ctx, side, df, ctx.validatorFor(df, side.attrs))
         }
-        NodeResult(j, df, side.attrs,
+        NodeResult(df, side.attrs,
           merge(side.triples, up.map(d => ProvenanceTriple(d, tpe, j))))
 
       case JoinKind.Inner =>
@@ -160,32 +160,25 @@ object InFine {
           (upstaged(ctx, lRes, ctx.eval.eval(j.copy(kind = JoinKind.LeftSemi)), joinValidator),
            upstaged(ctx, rRes, ctx.eval.eval(j.copy(kind = JoinKind.RightSemi)), joinValidator))
         }
-        val leftKnown  = lRes.fds ++ leftUp
-        val rightKnown = rRes.fds ++ rightUp
+        val (lKeys, rKeys) = j.on.map { case (a, b) => (schema.id(a), schema.id(b)) }.unzip
+        val left  = Side(lRes.attrs, AS.fromIterable(lKeys), lRes.fds ++ leftUp)
+        val right = Side(rRes.attrs, AS.fromIterable(rKeys), rRes.fds ++ rightUp)
 
         // Join-predicate equalities: x_i ↔ y_i hold on every inner equi-join
         // result; they are Armstrong-derivable from the join condition, so
         // they carry "inferred" provenance.
-        val equalities = on.flatMap { case (a, b) =>
-          val (x, y) = (schema.id(a), schema.id(b))
+        val equalities = lKeys.zip(rKeys).flatMap { case (x, y) =>
           if (AS.contains(ctx.minedAttrs, x) && AS.contains(ctx.minedAttrs, y))
             Seq(FD(AS.single(x), y), FD(AS.single(y), x))
           else Seq.empty
         }.toSet
 
-        val knownAfterUp = leftKnown ++ rightKnown ++ equalities
-
-        // Algorithm 4 — inferred FDs (transitivity through join attributes,
-        // refined on the shared join validator).
+        val knownAfterUp = left.known ++ right.known ++ equalities
         val inferred = ctx.stats.time("inferred") {
-          InferFDs(ctx, joinValidator, leftKnown, rightKnown, lKeys, rKeys, knownAfterUp)
+          inferFDs(ctx, joinValidator, left, right, knownAfterUp)
         }
-
-        // Algorithm 5 — remaining join FDs via selective mining.
-        val knownAfterInf = knownAfterUp ++ inferred
         val joinFds = ctx.stats.time("mine") {
-          MineFDs(ctx, joinValidator, knownAfterInf,
-            lKeys, rKeys, lRes.attrs, rRes.attrs, leftKnown, rightKnown)
+          mineFDs(ctx, joinValidator, left, right, knownAfterUp ++ inferred)
         }
 
         val newTriples =
@@ -193,7 +186,7 @@ object InFine {
           rightUp.map(d => ProvenanceTriple(d, FDType.UpstagedRight, j)) ++
           (equalities ++ inferred).map(d => ProvenanceTriple(d, FDType.Inferred, j)) ++
           joinFds.map(d => ProvenanceTriple(d, FDType.JoinFD, j))
-        NodeResult(j, df, attrs, merge(lRes.triples ++ rRes.triples, newTriples))
+        NodeResult(df, attrs, merge(lRes.triples ++ rRes.triples, newTriples))
 
       case _ =>
         // Outer joins: null padding can re-type or invalidate categories in
@@ -206,7 +199,7 @@ object InFine {
           LatticeSearch.mineNew(AS.intersect(attrs, ctx.minedAttrs),
             ctx.validatorFor(df, attrs), Set.empty[FD], ctx.deadline)
         }
-        NodeResult(j, df, attrs, Provenance.classify(mined, lRes.triples ++ rRes.triples,
+        NodeResult(df, attrs, Provenance.classify(mined, lRes.triples ++ rRes.triples,
           Some((lRes.attrs, rRes.attrs)), j))
     }
   }
@@ -221,6 +214,61 @@ object InFine {
     val universe = AS.intersect(parent.attrs, ctx.minedAttrs)
     if (AS.isEmpty(universe) || sub.count() >= parent.count) Set.empty
     else LatticeSearch.mineNew(universe, validator, parent.fds, ctx.deadline)
+  }
+
+  /** Algorithm 4 — inferred FDs of an inner equi-join.
+    *
+    * `infer`: Armstrong transitivity through the join attributes (Theorem
+    * 2): any `A → X` on one side combined with `Y → b` on the other yields
+    * `A → b` on the join. Candidate `A`s are the LHSs of the side's known
+    * FDs (plus its join attributes, covering the trivial `X → X`); `b`
+    * ranges over the closure of the other side's join attributes.
+    *
+    * `refine`: each inferred `A → b` is minimized on the join validator —
+    * the minimal `A' ⊆ A` with `A' → b`, pruned by `known` and by the FDs
+    * refined so far.
+    */
+  private def inferFDs(ctx: Context, joinValidator: FDValidator,
+                       left: Side, right: Side, known: Set[FD]): Set[FD] = {
+    // Join attributes must be minable for transitivity bookkeeping.
+    if (!AS.subsetOf(AS.union(left.keys, right.keys), ctx.minedAttrs)) return Set.empty
+    val out = mutable.Set.empty[FD]
+    for ((src, dst) <- Seq(left -> right, right -> left)) {
+      val determined = AS.diff(FDSet.closure(dst.keys, dst.known), dst.keys)
+      val lhsPool = (src.known.map(_.lhs) + src.keys)
+        .filter(a => !AS.isEmpty(a) && AS.subsetOf(src.keys, FDSet.closure(a, src.known)))
+      for (a <- lhsPool; b <- AS.toSeq(determined))
+        out ++= LatticeSearch.mineNew(a, joinValidator, known ++ out, ctx.deadline,
+          rhsSpace = Some(AS.single(b)))
+    }
+    FDSet.minimize(out).filterNot(d => FDSet.subsumedBy(known, d))
+  }
+
+  /** Algorithm 5 — the remaining join FDs, mined selectively.
+    *
+    * Theorem 4 bounds the RHS: `b` can be the RHS of a join FD only if its
+    * own side already determines it on the join. Since upstaged mining is
+    * complete over each side, that means some known FD of the side has RHS
+    * `b`, or `b` is a join attribute (determined by its twin). A join FD
+    * must span both sides (Definition 7); candidates subsumed by `known`
+    * are pruned before any data access.
+    */
+  private def mineFDs(ctx: Context, joinValidator: FDValidator,
+                      left: Side, right: Side, known: Set[FD]): Set[FD] = {
+    def plausible(s: Side): AS.T = {
+      val minable = AS.intersect(s.attrs, ctx.minedAttrs)
+      // If the side's join attributes were projected away we cannot apply
+      // Theorem 4 soundly — fall back to the whole side.
+      if (!AS.subsetOf(s.keys, ctx.minedAttrs)) minable
+      else AS.intersect(minable, AS.union(AS.fromIterable(s.known.map(_.rhs)), s.keys))
+    }
+    val rhsSpace = AS.union(plausible(left), plausible(right))
+    def crossSides(lhs: AS.T, rhs: Int): Boolean = {
+      val s = AS.add(lhs, rhs)
+      !AS.isEmpty(AS.intersect(s, left.attrs)) && !AS.isEmpty(AS.intersect(s, right.attrs))
+    }
+    LatticeSearch.mineNew(AS.intersect(AS.union(left.attrs, right.attrs), ctx.minedAttrs),
+      joinValidator, known, ctx.deadline, rhsSpace = Some(rhsSpace), candFilter = crossSides)
   }
 
   /** Combine existing triples with newly discovered ones, then drop any FD

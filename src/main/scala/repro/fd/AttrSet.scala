@@ -57,9 +57,6 @@ object AttrSet {
     }
   }
 
-  /** All subsets of `s` obtained by removing exactly one attribute. */
-  def dropOne(s: T): IndexedSeq[T] = toSeq(s).map(i => remove(s, i))
-
   /** All subsets of `s`, including empty and `s` itself. 2^|s| entries. */
   def allSubsets(s: T): IndexedSeq[T] = {
     val b = IndexedSeq.newBuilder[T]

@@ -37,6 +37,19 @@ final class EncodedTable(val columns: Array[Array[Int]], val attrIds: IndexedSeq
     new EncodedTable(keep.map(columns).toArray, keep.map(attrIds))
   }
 
+  /** Local columns on which rows `t` and `u` differ: the complement of
+    * their agree set, as FastFDs and HyFD use it.
+    */
+  def diff(t: Int, u: Int): AS.T = {
+    var d = AS.empty
+    var c = 0
+    while (c < width) {
+      if (columns(c)(t) != columns(c)(u)) d = AS.add(d, c)
+      c += 1
+    }
+    d
+  }
+
   /** Distinct count of the value combinations over local columns `attrs`. */
   def cardinality(attrs: AS.T): Int = {
     if (AS.isEmpty(attrs)) return math.min(nRows, 1)

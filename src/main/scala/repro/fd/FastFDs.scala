@@ -54,16 +54,6 @@ object FastFDs extends Miner {
     val seenPairs = new java.util.HashSet[Long]()
     val diffs     = mutable.Set.empty[AS.T]
 
-    def diffOf(t: Int, u: Int): AS.T = {
-      var d = AS.empty
-      var c = 0
-      while (c < k) {
-        if (table.columns(c)(t) != table.columns(c)(u)) d = AS.add(d, c)
-        c += 1
-      }
-      d
-    }
-
     var c = 0
     var sinceCheck = 0
     while (c < k) {
@@ -83,7 +73,7 @@ object FastFDs extends Miner {
             val t = math.min(cls(i), cls(j)); val u = math.max(cls(i), cls(j))
             val key = t.toLong * n + u
             if (seenPairs.add(key)) {
-              val d = diffOf(t, u)
+              val d = table.diff(t, u)
               if (!AS.isEmpty(d)) diffs += d
             }
             j += 1

@@ -24,16 +24,6 @@ object HyFD extends Miner {
     val universe = AS.universe(k)
     val store    = new PartitionStore(table)
 
-    def diffOf(t: Int, u: Int): AS.T = {
-      var d = AS.empty
-      var c = 0
-      while (c < k) {
-        if (table.columns(c)(t) != table.columns(c)(u)) d = AS.add(d, c)
-        c += 1
-      }
-      d
-    }
-
     // ---- Phase 1: sampled negative cover -------------------------------
     val negative = mutable.Set.empty[AS.T]
     var c = 0
@@ -42,7 +32,7 @@ object HyFD extends Miner {
       p.classes.foreach { cls =>
         var i = 0
         while (i + 1 < cls.length) { // neighbours only: linear sample
-          val d = diffOf(cls(i), cls(i + 1))
+          val d = table.diff(cls(i), cls(i + 1))
           if (!AS.isEmpty(d)) negative += d
           i += 1
         }
@@ -93,7 +83,7 @@ object HyFD extends Miner {
           if (candidates(rhs).contains(lhs) && !store.holds(lhs, rhs)) {
             settled = false
             violatingPair(store, table, lhs, rhs).foreach { case (t, u) =>
-              val d = diffOf(t, u)
+              val d = table.diff(t, u)
               (0 until k).foreach(a => specialize(a, d))
             }
           }

@@ -20,6 +20,10 @@ final class StrippedPartition(val classes: Array[Array[Int]], val nRows: Int) {
 
 object StrippedPartition {
 
+  /** π_∅: one class holding every row (none if there are fewer than two). */
+  def whole(nRows: Int): StrippedPartition =
+    new StrippedPartition(if (nRows >= 2) Array(Array.range(0, nRows)) else Array.empty, nRows)
+
   /** Partition of a single encoded column. */
   def ofColumn(col: Array[Int], nRows: Int): StrippedPartition = {
     val groups = new java.util.HashMap[Int, ArrayBuffer[Int]]()
@@ -90,11 +94,8 @@ final class PartitionStore(table: EncodedTable) {
     val hit = cache.get(attrs)
     if (hit != null) return hit
     val p =
-      if (AS.isEmpty(attrs)) {
-        // One class containing every row (if more than one row).
-        val all = Array.range(0, table.nRows)
-        new StrippedPartition(if (table.nRows >= 2) Array(all) else Array.empty, table.nRows)
-      } else if (AS.size(attrs) == 1) {
+      if (AS.isEmpty(attrs)) StrippedPartition.whole(table.nRows)
+      else if (AS.size(attrs) == 1) {
         StrippedPartition.ofColumn(table.columns(AS.toSeq(attrs).head), table.nRows)
       } else {
         val split = AS.toSeq(attrs).head

@@ -18,13 +18,10 @@ object Tane extends Miner {
     val universe = AS.universe(k)
     val out      = mutable.Set.empty[FD]
 
-    // Level 0 seeds: C+(∅) = R; π_∅ built lazily for the level-1 check.
-    val emptyPartition = {
-      val all = Array.range(0, table.nRows)
-      new StrippedPartition(if (table.nRows >= 2) Array(all) else Array.empty[Array[Int]], table.nRows)
-    }
+    // Level 0 seeds: C+(∅) = R and π_∅ for the level-1 check.
     var prevCp: mutable.Map[AS.T, AS.T] = mutable.Map(AS.empty -> universe)
-    var prevPart: mutable.Map[AS.T, StrippedPartition] = mutable.Map(AS.empty -> emptyPartition)
+    var prevPart: mutable.Map[AS.T, StrippedPartition] =
+      mutable.Map(AS.empty -> StrippedPartition.whole(table.nRows))
 
     // Level 1.
     var level: IndexedSeq[AS.T] = (0 until k).map(AS.single)

@@ -12,35 +12,32 @@ trait FDValidator {
   /** Distinct count of the value combinations over `attrs`. */
   def cardinality(attrs: AS.T): Long
   /** Does `lhs → rhs` hold on the instance (null == null semantics)? */
-  def holds(lhs: AS.T, rhs: Int): Boolean =
+  final def holds(lhs: AS.T, rhs: Int): Boolean =
     cardinality(lhs) == cardinality(AS.add(lhs, rhs))
-  def isKey(attrs: AS.T): Boolean = cardinality(attrs) == nRows
+  final def isKey(attrs: AS.T): Boolean = cardinality(attrs) == nRows
 }
 
 /** Driver-side validator over a collected, dictionary-encoded instance —
-  * used when the instance fits under the collect threshold; checks run on
-  * stripped partitions, as in the paper's single-node miner.
+  * used when the instance fits under the collect threshold; cardinalities
+  * come from stripped partitions, as in the paper's single-node miner
+  * (|π_X| = n − e(π_X), so equal cardinalities mean equal errors).
   */
 final class DriverValidator(val table: EncodedTable) extends FDValidator {
   private val store = new PartitionStore(table)
   private def loc(attrs: AS.T): AS.T = AS.fromIterable(AS.toSeq(attrs).map(table.local))
   val nRows: Long = table.nRows
-  def cardinality(attrs: AS.T): Long =
-    if (AS.isEmpty(attrs)) math.min(1L, nRows) else store(loc(attrs)).cardinality.toLong
-  override def holds(lhs: AS.T, rhs: Int): Boolean =
-    if (AS.isEmpty(lhs)) cardinality(AS.single(rhs)) <= 1
-    else store.holds(loc(lhs), table.local(rhs))
+  def cardinality(attrs: AS.T): Long = store(loc(attrs)).cardinality.toLong
 }
 
 /** Spark-side validator: FD checks as distinct-count equalities computed by
   * Catalyst over a cached DataFrame whose columns are named `a<globalIdx>`.
   * This is the "mine partitions on-the-fly via groupBy/distinct checks"
   * path of the reproduction hint — the instance is never collected.
+  * `nRows` is the row count of `df`, which the caller already knows.
   */
-final class SparkValidator(val df: DataFrame) extends FDValidator {
+final class SparkValidator(val df: DataFrame, val nRows: Long) extends FDValidator {
   private val cached = df.cache()
   private val cards  = mutable.Map.empty[AS.T, Long]
-  lazy val nRows: Long = cached.count()
   def cardinality(attrs: AS.T): Long = cards.getOrElseUpdate(attrs, {
     if (AS.isEmpty(attrs)) math.min(1L, nRows)
     else Columns.select(cached, attrs).distinct().count()
@@ -49,7 +46,7 @@ final class SparkValidator(val df: DataFrame) extends FDValidator {
 
 /** Defers instance materialization until a check actually needs data — the
   * heart of the paper's savings: when logical pruning leaves no candidate
-  * to validate, the (partial) join is never computed at all.
+  * to validate, the join is never computed at all.
   */
 final class LazyValidator(mk: () => FDValidator) extends FDValidator {
   private lazy val v = mk()
@@ -58,8 +55,6 @@ final class LazyValidator(mk: () => FDValidator) extends FDValidator {
   private def force: FDValidator = { materialized = true; v }
   def nRows: Long = force.nRows
   def cardinality(attrs: AS.T): Long = force.cardinality(attrs)
-  override def holds(lhs: AS.T, rhs: Int): Boolean = force.holds(lhs, rhs)
-  override def isKey(attrs: AS.T): Boolean = force.isKey(attrs)
 }
 
 object Validator {
@@ -75,7 +70,8 @@ object Validator {
     */
   def forDataFrame(df: DataFrame, attrs: AS.T): FDValidator = {
     val projected = Columns.select(df, attrs)
-    if (projected.count() <= collectThreshold) new DriverValidator(Columns.encode(projected, attrs))
-    else new SparkValidator(projected)
+    val nRows     = projected.count()
+    if (nRows <= collectThreshold) new DriverValidator(Columns.encode(projected, attrs))
+    else new SparkValidator(projected, nRows)
   }
 }

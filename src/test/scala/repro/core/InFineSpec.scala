@@ -128,6 +128,9 @@ class InFineSpec extends SparkSpec {
       s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
     val keep = res.schema.idsOf(proj)
     res.fds.foreach(d => assert(AS.subsetOf(d.attrs, keep)))
+    // admission.pid is projected away while patient.pid stays, so
+    // Algorithm 4 is skipped and the cross-side FDs are joinFDs.
+    assert(FDType.all.map(res.countByType) == Seq(1, 0, 1, 0, 0, 4), res.countByType)
   }
 
   test("semi-join view behaves like a one-sided selection") {

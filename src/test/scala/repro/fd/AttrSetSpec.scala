@@ -58,11 +58,6 @@ class AttrSetSpec extends AnyFunSuite with PropHelper {
     assert(!AS.subsetOf(AS.of(3), AS.of(1, 2)))
   }
 
-  test("dropOne produces all size-1-smaller subsets") {
-    val subs = AS.dropOne(AS.of(1, 2, 5))
-    assert(subs.toSet == Set(AS.of(2, 5), AS.of(1, 5), AS.of(1, 2)))
-  }
-
   test("allSubsets enumerates the powerset") {
     val subs = AS.allSubsets(AS.of(0, 2))
     assert(subs.toSet == Set(AS.empty, AS.of(0), AS.of(2), AS.of(0, 2)))

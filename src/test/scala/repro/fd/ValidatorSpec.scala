@@ -35,7 +35,7 @@ class ValidatorSpec extends SparkSpec with PropHelper {
 
   test("SparkValidator agrees with DriverValidator on every subset") {
     val d   = df(rows, 3)
-    val sv  = new SparkValidator(d)
+    val sv  = new SparkValidator(d, d.count())
     val dv  = new DriverValidator(EncodedTable.fromDataFrame(d, IndexedSeq(0, 1, 2)))
     AS.allSubsets(AS.universe(3)).foreach { s =>
       assert(sv.cardinality(s) == dv.cardinality(s), s"card ${AS.toSeq(s)}")
@@ -46,7 +46,7 @@ class ValidatorSpec extends SparkSpec with PropHelper {
 
   test("SparkValidator treats null as an ordinary value") {
     val d  = df(Seq(Seq[Any](null, "1"), Seq[Any](null, "1"), Seq[Any]("x", "2")), 2)
-    val sv = new SparkValidator(d)
+    val sv = new SparkValidator(d, d.count())
     assert(sv.cardinality(AS.of(0)) == 2)
     assert(sv.holds(AS.of(0), 1))
     val dv = new DriverValidator(EncodedTable.fromDataFrame(d, IndexedSeq(0, 1)))
@@ -88,7 +88,7 @@ class ValidatorSpec extends SparkSpec with PropHelper {
     } yield (nCols, cells)
     forAllN(gen, 12) { case (nCols, cells) =>
       val d  = df(cells.map(_.map(_.asInstanceOf[Any])), nCols)
-      val sv = new SparkValidator(d)
+      val sv = new SparkValidator(d, d.count())
       val dv = new DriverValidator(EncodedTable.fromDataFrame(d, IndexedSeq.tabulate(nCols)(identity)))
       AS.allSubsets(AS.universe(nCols)).foreach { s =>
         assert(sv.cardinality(s) == dv.cardinality(s))
