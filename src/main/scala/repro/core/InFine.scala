@@ -43,27 +43,68 @@ object InFine {
   private final class Context(
       val schema: ViewSchema,
       val eval: ViewEval,
+      /** Step 1's collected base relations, and the driver's view evaluator. */
+      val driver: DriverEval,
       /** A_V — the view's projected attributes (paper line #2). */
       val minedAttrs: AS.T,
+      /** Most rows of a sub-view instance kept on the driver. */
+      val threshold: Long,
       val stats: InFineStats,
       val deadline: Deadline,
   ) {
-    /** Validator over `df` restricted to `attrs` ∩ A_V. Lazy: the instance
-      * is only counted/collected when a candidate check actually needs data,
-      * so purely-logical stages cost no Spark job.
+    private val cached = mutable.ArrayBuffer.empty[DataFrame]
+
+    /** `df`, cached until [[release]]. */
+    def cache(df: DataFrame): DataFrame = { cached += df; df.cache() }
+    def release(): Unit = cached.foreach(_.unpersist())
+
+    /** An instance held on the driver. Its validators read its rows' codes. */
+    def onDriver(rows: DriverRows): Instance =
+      new Instance(Some(rows), rows.nRows, attrs =>
+        new DriverValidator(driver.table(rows, AS.intersect(attrs, minedAttrs))))
+
+    /** An instance left to Spark, of `count` rows. Its validators count and
+      * then collect or cache `df` (a cached projection is released with the
+      * rest).
       */
-    def validatorFor(df: DataFrame, attrs: AS.T): FDValidator =
-      new LazyValidator(() => Validator.forDataFrame(df, AS.intersect(attrs, minedAttrs)))
+    def inSpark(df: DataFrame, count: => Long): Instance =
+      new Instance(None, count, attrs =>
+        Validator.forDataFrame(df, AS.intersect(attrs, minedAttrs)) match {
+          case v: SparkValidator => cache(v.df); v
+          case v                 => v
+        })
+
+    /** `spec` evaluated by Catalyst and cached (lazily: nothing is computed
+      * until a stage touches the instance), of `count` rows if known.
+      */
+    def viaCatalyst(spec: ViewSpec, count: Option[Long] = None): Instance = {
+      val df = cache(eval.eval(spec))
+      inSpark(df, count.getOrElse(df.count()))
+    }
   }
 
-  /** Intermediate result of `provFDs` on a sub-view: its evaluated instance,
-    * its projected global attributes, and the provenance triples of every
+  /** A sub-view instance: its rows on the driver when they number at most
+    * the collect threshold, else left to Spark. `count` is computed on first
+    * use, without a Spark job when the size is known on the driver.
+    */
+  private final class Instance(val rows: Option[DriverRows], countIt: => Long,
+                               validatorOf: AS.T => FDValidator) {
+    lazy val count: Long = countIt
+
+    /** Validator over this instance restricted to `attrs` ∩ A_V. Lazy: the
+      * instance is only read when a candidate check actually needs data, so
+      * purely-logical stages never pair a join's rows nor run a Spark job.
+      */
+    def validator(attrs: AS.T): FDValidator = new LazyValidator(() => validatorOf(attrs))
+  }
+
+  /** Intermediate result of `provFDs` on a sub-view: its instance, its
+    * projected global attributes, and the provenance triples of every
     * minimal FD holding on it.
     */
-  private final case class NodeResult(df: DataFrame, attrs: AS.T,
+  private final case class NodeResult(instance: Instance, attrs: AS.T,
                                       triples: Set[ProvenanceTriple]) {
     def fds: Set[FD] = triples.map(_.fd)
-    lazy val count: Long = df.count()
   }
 
   /** One input of an inner join: its attributes, its join attributes, and
@@ -78,9 +119,13 @@ object InFine {
     val eval   = new ViewEval(schema, catalog)
     val stats  = new InFineStats
     val aV     = schema.idsOf(spec)
-    val ctx    = new Context(schema, eval, aV, stats, deadline)
-    val base   = stats.time("base")(baseTriples(eval, spec, aV, baseMiner, deadline))
-    InFineResult(schema, provFDs(ctx, spec, base).triples, stats)
+    val (driver, base) = stats.time("base") {
+      val driver = DriverEval.collect(eval, spec, aV)
+      (driver, mineBases(schema, spec, aV, baseMiner, deadline)(driver.baseTable))
+    }
+    val ctx = new Context(schema, eval, driver, aV, Validator.collectThreshold, stats, deadline)
+    try InFineResult(schema, provFDs(ctx, spec, base).triples, stats)
+    finally ctx.release()
   }
 
   /** Step 1 (lines #3–5): `miner`'s FDs of each base-relation instance of
@@ -89,10 +134,17 @@ object InFine {
     */
   def baseTriples(eval: ViewEval, spec: ViewSpec, aV: AS.T, miner: Miner,
                   deadline: Deadline): Map[String, Set[ProvenanceTriple]] =
+    mineBases(eval.schema, spec, aV, miner, deadline)((r, attrs) => Columns.encode(eval.relDf(r), attrs))
+
+  /** [[baseTriples]] over the encoded columns `table(r, attrs)` of each
+    * relation instance `r`.
+    */
+  private def mineBases(schema: ViewSchema, spec: ViewSpec, aV: AS.T, miner: Miner, deadline: Deadline)
+                       (table: (Rel, AS.T) => EncodedTable): Map[String, Set[ProvenanceTriple]] =
     spec.rels.map { r =>
-      val mineable = AS.intersect(eval.schema.attrsOf(r.alias), aV)
+      val mineable = AS.intersect(schema.attrsOf(r.alias), aV)
       val fds = if (AS.isEmpty(mineable)) Set.empty[FD]
-                else miner.mine(Columns.encode(eval.relDf(r), mineable), deadline)
+                else miner.mine(table(r, mineable), deadline)
       r.alias -> fds.map(ProvenanceTriple(_, FDType.Base, r))
     }.toMap
 
@@ -100,26 +152,32 @@ object InFine {
   private def provFDs(ctx: Context, spec: ViewSpec, base: Map[String, Set[ProvenanceTriple]]): NodeResult =
     spec match {
       case r: Rel =>
-        NodeResult(ctx.eval.relDf(r), ctx.schema.attrsOf(r.alias), base(r.alias))
+        val n = ctx.driver.baseRows(r.alias)
+        val instance = if (n <= ctx.threshold) ctx.onDriver(ctx.driver.rel(r))
+                       else ctx.inSpark(ctx.eval.relDf(r), n)
+        NodeResult(instance, ctx.schema.attrsOf(r.alias), base(r.alias))
 
-      case p @ Project(attrs, in) =>
+      case Project(attrs, in) =>
         // Mining was restricted to A_V up-front (Section IV-A): recursion
         // only narrows the instance; FDs over dropped attributes were never
         // mined, and Theorem 1 says no new FDs can appear.
         val child = provFDs(ctx, in, base)
         val keep  = AS.fromIterable(attrs.map(ctx.schema.id))
         val triples = child.triples.filter(t => AS.subsetOf(t.fd.attrs, keep))
-        NodeResult(ctx.eval.eval(p), keep, triples)
+        NodeResult(child.instance, keep, triples)
 
-      case s @ Select(_, in) =>
+      case s @ Select(p, in) =>
         val child = provFDs(ctx, in, base)
-        val df    = ctx.eval.eval(s).cache()
-        val up    = ctx.stats.time("selection") {
-          upstaged(ctx, child, df, ctx.validatorFor(df, child.attrs))
+        val (sel, up) = ctx.stats.time("selection") {
+          val sel = child.instance.rows match {
+            case Some(rows) => ctx.onDriver(ctx.driver.select(p, rows))
+            case None       => ctx.viaCatalyst(s)
+          }
+          (sel, upstaged(ctx, child, sel.count, sel.validator(child.attrs)))
         }
         val triples = merge(child.triples,
           up.map(d => ProvenanceTriple(d, FDType.UpstagedSelection, s)))
-        NodeResult(df, child.attrs, triples)
+        NodeResult(sel, child.attrs, triples)
 
       case j @ Join(l, r, _, _) =>
         joinNode(ctx, j, provFDs(ctx, l, base), provFDs(ctx, r, base))
@@ -127,28 +185,39 @@ object InFine {
 
   private def joinNode(ctx: Context, j: Join, lRes: NodeResult, rRes: NodeResult): NodeResult = {
     val schema = ctx.schema
-    // Cached, but lazy: nothing is computed until a stage actually touches
-    // the joined instance (upstage size checks touch only semijoins).
-    val df     = ctx.eval.eval(j).cache()
+    // The join on the driver's codes: sized, with its ⋉/⋊ sizes, before
+    // any row is paired.
+    val onDriver = for {
+      l  <- lRes.instance.rows
+      r  <- rRes.instance.rows
+      if j.kind == JoinKind.Inner || j.kind == JoinKind.LeftSemi || j.kind == JoinKind.RightSemi
+      dj <- ctx.stats.time("upstaged")(ctx.driver.join(l, r, j.on))
+    } yield dj
 
     j.kind match {
       case JoinKind.LeftSemi | JoinKind.RightSemi =>
         // A semijoin is a selection of one side (Definition 3: proj keeps
         // that side only) — upstaged FDs mined exactly like Algorithm 2.
-        val side  = if (j.kind == JoinKind.LeftSemi) lRes else rRes
-        val tpe   = if (j.kind == JoinKind.LeftSemi) FDType.UpstagedLeft else FDType.UpstagedRight
+        val left = j.kind == JoinKind.LeftSemi
+        val side = if (left) lRes else rRes
+        val tpe  = if (left) FDType.UpstagedLeft else FDType.UpstagedRight
+        val sub  = onDriver.fold(ctx.viaCatalyst(j))(dj => ctx.onDriver(if (left) dj.leftSemi else dj.rightSemi))
         val up = ctx.stats.time("upstaged") {
-          upstaged(ctx, side, df, ctx.validatorFor(df, side.attrs))
+          upstaged(ctx, side, sub.count, sub.validator(side.attrs))
         }
-        NodeResult(df, side.attrs,
+        NodeResult(sub, side.attrs,
           merge(side.triples, up.map(d => ProvenanceTriple(d, tpe, j))))
 
       case JoinKind.Inner =>
         val attrs = AS.union(lRes.attrs, rRes.attrs)
+        val instance = onDriver match {
+          case Some(dj) if dj.size <= ctx.threshold => ctx.onDriver(dj.inner)
+          case _                                    => ctx.viaCatalyst(j, onDriver.map(_.size))
+        }
         // One lazily-materialized validator serves every stage of this join
         // node; if logical pruning leaves nothing to check, the joined
         // instance is never computed at all.
-        val joinValidator = ctx.validatorFor(df, attrs)
+        val joinValidator = instance.validator(attrs)
 
         // Algorithm 3 — upstaged left/right via semijoin size checks. The
         // FDs over side I's attributes that hold on I ⋈ J are exactly those
@@ -156,9 +225,10 @@ object InFine {
         // violate an FD over I (Lemma 2). So the semijoin is only counted,
         // and candidates are checked on the shared join validator, whose
         // distinct counts over one side equal the semijoin's.
+        def semiCount(kind: JoinKind) = ctx.eval.eval(j.copy(kind = kind)).count()
         val (leftUp, rightUp) = ctx.stats.time("upstaged") {
-          (upstaged(ctx, lRes, ctx.eval.eval(j.copy(kind = JoinKind.LeftSemi)), joinValidator),
-           upstaged(ctx, rRes, ctx.eval.eval(j.copy(kind = JoinKind.RightSemi)), joinValidator))
+          (upstaged(ctx, lRes, onDriver.fold(semiCount(JoinKind.LeftSemi))(_.leftMatched.toLong), joinValidator),
+           upstaged(ctx, rRes, onDriver.fold(semiCount(JoinKind.RightSemi))(_.rightMatched.toLong), joinValidator))
         }
         val (lKeys, rKeys) = j.on.map { case (a, b) => (schema.id(a), schema.id(b)) }.unzip
         val left  = Side(lRes.attrs, AS.fromIterable(lKeys), lRes.fds ++ leftUp)
@@ -186,7 +256,7 @@ object InFine {
           rightUp.map(d => ProvenanceTriple(d, FDType.UpstagedRight, j)) ++
           (equalities ++ inferred).map(d => ProvenanceTriple(d, FDType.Inferred, j)) ++
           joinFds.map(d => ProvenanceTriple(d, FDType.JoinFD, j))
-        NodeResult(df, attrs, merge(lRes.triples ++ rRes.triples, newTriples))
+        NodeResult(instance, attrs, merge(lRes.triples ++ rRes.triples, newTriples))
 
       case _ =>
         // Outer joins: null padding can re-type or invalidate categories in
@@ -194,25 +264,27 @@ object InFine {
         // fall back to a direct pruned mining of the sub-view and classify
         // against the children (none of the paper's 16 experimental views
         // uses an outer join).
-        val attrs = AS.union(lRes.attrs, rRes.attrs)
+        val attrs    = AS.union(lRes.attrs, rRes.attrs)
+        val instance = ctx.viaCatalyst(j)
         val mined = ctx.stats.time("mine") {
           LatticeSearch.mineNew(AS.intersect(attrs, ctx.minedAttrs),
-            ctx.validatorFor(df, attrs), Set.empty[FD], ctx.deadline)
+            instance.validator(attrs), Set.empty[FD], ctx.deadline)
         }
-        NodeResult(df, attrs, Provenance.classify(mined, lRes.triples ++ rRes.triples,
+        NodeResult(instance, attrs, Provenance.classify(mined, lRes.triples ++ rRes.triples,
           Some((lRes.attrs, rRes.attrs)), j))
     }
   }
 
   /** Algorithms 2–3: the new minimal FDs over `parent`'s attributes in A_V
-    * that hold on `sub`, a selection or semijoin of `parent` checked through
-    * `validator`. Only a sub-instance that lost tuples can gain FDs (line
-    * #4 / #14); the search is pruned by `parent`'s FDs (lines #8–9).
+    * that hold on a selection or semijoin of `parent` with `subCount` rows,
+    * checked through `validator`. Only a sub-instance that lost tuples can
+    * gain FDs (line #4 / #14); the search is pruned by `parent`'s FDs
+    * (lines #8–9).
     */
-  private def upstaged(ctx: Context, parent: NodeResult, sub: DataFrame,
+  private def upstaged(ctx: Context, parent: NodeResult, subCount: => Long,
                        validator: FDValidator): Set[FD] = {
     val universe = AS.intersect(parent.attrs, ctx.minedAttrs)
-    if (AS.isEmpty(universe) || sub.count() >= parent.count) Set.empty
+    if (AS.isEmpty(universe) || subCount >= parent.instance.count) Set.empty
     else LatticeSearch.mineNew(universe, validator, parent.fds, ctx.deadline)
   }
 

@@ -1,6 +1,7 @@
 package repro.fd
 
-import org.apache.spark.sql.DataFrame
+import scala.collection.immutable.ArraySeq
+import org.apache.spark.sql.{DataFrame, Row}
 import repro.fd.{AttrSet => AS}
 
 /** Dictionary-encoded, column-major snapshot of a relational instance.
@@ -66,6 +67,23 @@ final class EncodedTable(val columns: Array[Array[Int]], val attrIds: IndexedSeq
 
 object EncodedTable {
 
+  /** Value → dense code map of the dictionary encoding. One dictionary can
+    * encode several columns, so that equal values in any of them get one
+    * code: join attributes share one per equivalence class, and the driver
+    * joins their instances on codes.
+    */
+  final class Dictionary {
+    private val codes = new java.util.HashMap[Any, Integer]()
+    /** The code of `v`, given to it now if it has none yet. */
+    def encode(v: Any): Int = {
+      var code = codes.get(v)
+      if (code == null) { code = codes.size(); codes.put(v, code) }
+      code
+    }
+    /** The code of `v`, or -1 if no encoded cell held it. */
+    def codeOf(v: Any): Int = { val c = codes.get(v); if (c == null) -1 else c }
+  }
+
   /** Collect `df` and dictionary-encode it. The caller is responsible for
     * only collecting instances below the configured threshold; larger
     * instances stay in Spark and are checked via [[Validator.SparkValidator]].
@@ -74,29 +92,34 @@ object EncodedTable {
     val width = df.columns.length
     require(width == attrIds.size,
       s"schema mismatch: df has $width cols, ${attrIds.size} attr ids given")
-    encode(scala.collection.immutable.ArraySeq.unsafeWrapArray(df.collect()), attrIds)(_.get(_))
+    fromCollected(df.collect(), attrIds, _ => new Dictionary)
   }
+
+  /** Encode column `c` of collected `rows` as attribute `attrIds(c)` through
+    * `dictionary(c)`, called once per column; columns past `attrIds` are
+    * left out.
+    */
+  def fromCollected(rows: Array[Row], attrIds: IndexedSeq[Int],
+                    dictionary: Int => Dictionary): EncodedTable =
+    encode(ArraySeq.unsafeWrapArray(rows), attrIds, dictionary)(_.get(_))
 
   /** Row-major literal construction for tests. */
   def fromRows(rows: Seq[Seq[Any]], attrIds: IndexedSeq[Int]): EncodedTable = {
     require(rows.forall(_.size == attrIds.size))
-    encode(rows.toIndexedSeq, attrIds)(_(_))
+    encode(rows.toIndexedSeq, attrIds, _ => new Dictionary)(_(_))
   }
 
   /** The dictionary loop: per column, each distinct value (null included,
-    * hashed like any other) gets the next dense code.
+    * hashed like any other) gets the next dense code of its dictionary.
     */
-  private def encode[R](rows: IndexedSeq[R], attrIds: IndexedSeq[Int])
+  private def encode[R](rows: IndexedSeq[R], attrIds: IndexedSeq[Int], dictionary: Int => Dictionary)
                        (cell: (R, Int) => Any): EncodedTable = {
     val cols = Array.tabulate(attrIds.size) { c =>
-      val dict = new java.util.HashMap[Any, Integer]()
+      val dict = dictionary(c)
       val out  = new Array[Int](rows.length)
       var r = 0
       while (r < rows.length) {
-        val v    = cell(rows(r), c)
-        var code = dict.get(v)
-        if (code == null) { code = dict.size(); dict.put(v, code) }
-        out(r) = code
+        out(r) = dict.encode(cell(rows(r), c))
         r += 1
       }
       out

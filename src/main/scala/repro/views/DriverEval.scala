@@ -1,0 +1,254 @@
+package repro.views
+
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types._
+import repro.fd.{AttrSet => AS, Columns, EncodedTable}
+import repro.fd.EncodedTable.Dictionary
+
+/** A sub-view instance held on the driver, as the base rows behind its rows:
+  * `lineage(alias)(i)` is the row of base-relation instance `alias` that row
+  * `i` comes from. `nRows` is known up front; the lineage is built on first
+  * use, so a join whose instance nothing reads costs only its sizing.
+  */
+final class DriverRows(val nRows: Int, build: => Map[String, Array[Int]]) {
+  lazy val lineage: Map[String, Array[Int]] = build
+
+  /** The rows at positions `keep`, in that order. */
+  def gather(keep: => Array[Int], n: Int): DriverRows =
+    new DriverRows(n, { val k = keep; lineage.map { case (a, rows) => a -> k.map(rows(_)) } })
+}
+
+/** The driver twin of [[ViewEval]] for instances under the collect
+  * threshold: selections, semijoins and inner equi-joins evaluated on the
+  * int codes of the base relations that [[DriverEval.collect]] collected
+  * once, with Spark's semantics. Selection atoms were evaluated by Catalyst
+  * at collect time (type coercion and null handling included) and combine
+  * here under SQL's three-valued AND/OR; a null join key matches nothing.
+  */
+final class DriverEval private (
+    schema: ViewSchema,
+    bases: Map[String, DriverEval.Base],
+    keyDicts: Map[Int, Dictionary],
+    keyTypes: Map[Int, DataType]) {
+  import DriverEval._
+
+  /** Row count of base-relation instance `alias`. */
+  def baseRows(alias: String): Int = bases(alias).nRows
+
+  /** The encoded columns of `attrs` of base-relation instance `r`. */
+  def baseTable(r: Rel, attrs: AS.T): EncodedTable = bases(r.alias).table.project(attrs)
+
+  /** Base-relation instance `r`, every row. */
+  def rel(r: Rel): DriverRows = {
+    val n = baseRows(r.alias)
+    new DriverRows(n, Map(r.alias -> Array.range(0, n)))
+  }
+
+  /** σ_p: the rows on which `p` is true (not false, not unknown). */
+  def select(p: Pred, in: DriverRows): DriverRows = {
+    val t    = truth(p, in)
+    val keep = where(t.length)(t(_) == True)
+    in.gather(keep, keep.length)
+  }
+
+  /** The equi-join of `l` and `r` on `on`, sized before any row is
+    * paired; None unless each pair of key columns has one Spark type, and
+    * one whose values compare equal in Java exactly when Spark's equi-join
+    * matches them.
+    */
+  def join(l: DriverRows, r: DriverRows, on: Seq[(AttrRef, AttrRef)]): Option[DriverJoin] = {
+    val ids = on.map { case (a, b) => (schema.id(a), schema.id(b)) }
+    if (!ids.forall { case (a, b) => keyTypes(a) == keyTypes(b) && codeEquality(keyTypes(a)) }) None
+    else {
+      val (lKey, rKey) = ids
+        .map { case (a, b) => (keyCodes(l, a), keyCodes(r, b)) }
+        .reduce { (acc, next) =>
+          // Composite keys: number each (key so far, next code) pair densely,
+          // with one numbering shared by both sides.
+          val pairs = new java.util.HashMap[Long, Integer]()
+          def pair(x: Array[Int], y: Array[Int]) = Array.tabulate(x.length) { i =>
+            if (x(i) < 0 || y(i) < 0) -1
+            else pairs.computeIfAbsent((x(i).toLong << 32) | y(i), _ => Integer.valueOf(pairs.size())).intValue
+          }
+          (pair(acc._1, next._1), pair(acc._2, next._2))
+        }
+      Some(new DriverJoin(l, r, lKey, rKey))
+    }
+  }
+
+  /** The encoded columns of `attrs` on the rows of `in`. */
+  def table(in: DriverRows, attrs: AS.T): EncodedTable = {
+    val ids = AS.toSeq(attrs).toIndexedSeq
+    new EncodedTable(ids.map(i => column(in, i)).toArray, ids)
+  }
+
+  private def column(in: DriverRows, attr: Int): Array[Int] = {
+    val alias = schema.ref(attr).alias
+    val base  = bases(alias).table
+    val codes = base.columns(base.local(attr))
+    in.lineage(alias).map(codes(_))
+  }
+
+  /** Join-key codes of `attr` on `in`'s rows, with -1 for null. */
+  private def keyCodes(in: DriverRows, attr: Int): Array[Int] = {
+    val nul = keyDicts(attr).codeOf(null)
+    column(in, attr).map(c => if (c == nul) -1 else c)
+  }
+
+  private def truth(p: Pred, in: DriverRows): Array[Byte] = p match {
+    case a: Pred.Cmp =>
+      val atom = bases(a.attr.alias).atoms(a)
+      in.lineage(a.attr.alias).map(atom(_))
+    case Pred.And(l, r) => zip(truth(l, in), truth(r, in))((x, y) => if (x < y) x else y)
+    case Pred.Or(l, r)  => zip(truth(l, in), truth(r, in))((x, y) => if (x > y) x else y)
+  }
+
+  private def zip(x: Array[Byte], y: Array[Byte])(f: (Byte, Byte) => Byte): Array[Byte] =
+    Array.tabulate(x.length)(i => f(x(i), y(i)))
+}
+
+/** An inner equi-join of two driver instances, sized from per-key row
+  * counts: |l ⋈ r| = Σ_k |l_k|·|r_k|, and the ⋉/⋊ sizes count the rows
+  * whose key has a match. Rows are paired only when [[inner]] or a semijoin
+  * instance is read. Keys are dense ids, -1 for a null key.
+  */
+final class DriverJoin private[views] (l: DriverRows, r: DriverRows,
+                                       lKey: Array[Int], rKey: Array[Int]) {
+  private val nKeys  = (lKey.iterator ++ rKey.iterator).foldLeft(-1)(math.max) + 1
+  private val lCount = counts(lKey)
+  private val rCount = counts(rKey)
+
+  val size: Long        = lKey.foldLeft(0L)((s, k) => if (k < 0) s else s + rCount(k))
+  val leftMatched: Int  = lKey.count(k => k >= 0 && rCount(k) > 0)
+  val rightMatched: Int = rKey.count(k => k >= 0 && lCount(k) > 0)
+
+  /** l ⋉ r. */
+  def leftSemi: DriverRows = l.gather(DriverEval.where(lKey.length)(i => matches(lKey(i), rCount)), leftMatched)
+  /** l ⋊ r. */
+  def rightSemi: DriverRows = r.gather(DriverEval.where(rKey.length)(i => matches(rKey(i), lCount)), rightMatched)
+
+  /** l ⋈ r, left row by left row. */
+  def inner: DriverRows = {
+    require(size <= Int.MaxValue, s"join of $size rows is too large for the driver")
+    new DriverRows(size.toInt, {
+      // Right rows grouped by key: those of key k are byKey(start(k) until start(k + 1)).
+      val start = new Array[Int](nKeys + 1)
+      var k = 0
+      while (k < nKeys) { start(k + 1) = start(k) + rCount(k); k += 1 }
+      val byKey = new Array[Int](start(nKeys))
+      val fill  = start.clone()
+      for (j <- rKey.indices if rKey(j) >= 0) { byKey(fill(rKey(j))) = j; fill(rKey(j)) += 1 }
+      val li = new Array[Int](size.toInt)
+      val ri = new Array[Int](size.toInt)
+      var o = 0
+      for (i <- lKey.indices if lKey(i) >= 0; p <- start(lKey(i)) until start(lKey(i) + 1)) {
+        li(o) = i; ri(o) = byKey(p); o += 1
+      }
+      l.lineage.map { case (a, rows) => a -> li.map(rows(_)) } ++
+        r.lineage.map { case (a, rows) => a -> ri.map(rows(_)) }
+    })
+  }
+
+  private def counts(keys: Array[Int]): Array[Int] = {
+    val c = new Array[Int](nKeys)
+    keys.foreach(k => if (k >= 0) c(k) += 1)
+    c
+  }
+
+  private def matches(k: Int, other: Array[Int]): Boolean = k >= 0 && other(k) > 0
+}
+
+object DriverEval {
+
+  /** One collected base-relation instance: its row count, its encoded
+    * columns, and per selection atom on it the atom's truth value per row.
+    */
+  private[views] final case class Base(nRows: Int, table: EncodedTable, atoms: Map[Pred.Cmp, Array[Byte]])
+
+  /** SQL truth values, ordered so that AND is min and OR is max. */
+  private val False: Byte = 0
+  private val Unknown: Byte = 1
+  private val True: Byte = 2
+
+  /** Collect each base-relation instance of `spec` once: its attributes in
+    * `attrs`, its join attributes, and one nullable boolean column per
+    * selection atom on it, which Catalyst evaluates. The join attributes of
+    * one equivalence class (linked by the join conditions) share one
+    * dictionary, so equal keys get equal codes across relations.
+    */
+  def collect(eval: ViewEval, spec: ViewSpec, attrs: AS.T): DriverEval = {
+    val schema = eval.schema
+    val dicts  = keyDictionaries(joinConditions(spec).map { case (a, b) => (schema.id(a), schema.id(b)) })
+    val keep   = AS.union(attrs, AS.fromIterable(dicts.keys))
+    val atoms  = selectionAtoms(spec).distinct
+    val types  = Map.newBuilder[Int, DataType]
+    val bases  = spec.rels.map { r =>
+      val ids  = AS.toSeq(AS.intersect(schema.attrsOf(r.alias), keep)).toIndexedSeq
+      val own  = atoms.filter(_.attr.alias == r.alias)
+      val df   = eval.relDf(r).select(ids.map(i => col(Columns.name(i))) ++ own.map(eval.predColumn): _*)
+      val rows = df.collect()
+      ids.zipWithIndex.foreach { case (i, c) =>
+        if (dicts.contains(i)) types += i -> df.schema.fields(c).dataType
+      }
+      val table = EncodedTable.fromCollected(rows, ids, c => dicts.getOrElse(ids(c), new Dictionary))
+      val truths = own.zipWithIndex.map { case (a, k) => a -> rows.map(truthOf(_, ids.size + k)) }
+      r.alias -> Base(rows.length, table, truths.toMap)
+    }.toMap
+    new DriverEval(schema, bases, dicts, types.result())
+  }
+
+  /** The positions below `n` that satisfy `p`, ascending. */
+  private[views] def where(n: Int)(p: Int => Boolean): Array[Int] = {
+    val out = Array.newBuilder[Int]
+    var i = 0
+    while (i < n) { if (p(i)) out += i; i += 1 }
+    out.result()
+  }
+
+  private def truthOf(row: Row, c: Int): Byte =
+    if (row.isNullAt(c)) Unknown else if (row.getBoolean(c)) True else False
+
+  /** Types whose collected values are equal in Java exactly when Spark's
+    * equi-join matches them. Not floating point (NaN, -0.0), binary
+    * (arrays compare by reference) or nested types.
+    */
+  private def codeEquality(t: DataType): Boolean = t match {
+    case StringType | BooleanType | ByteType | ShortType | IntegerType | LongType |
+         DateType | TimestampType => true
+    case _: DecimalType => true
+    case _ => false
+  }
+
+  /** One dictionary per equivalence class of the attributes the pairs link. */
+  private def keyDictionaries(pairs: Seq[(Int, Int)]): Map[Int, Dictionary] =
+    pairs.foldLeft(Map.empty[Int, Dictionary]) { case (m, (a, b)) =>
+      (m.get(a), m.get(b)) match {
+        case (Some(d), Some(e)) => if (d eq e) m else m.map { case (k, v) => k -> (if (v eq e) d else v) }
+        case (Some(d), None)    => m + (b -> d)
+        case (None, Some(e))    => m + (a -> e)
+        case (None, None)       => val d = new Dictionary; m + (a -> d) + (b -> d)
+      }
+    }
+
+  private def joinConditions(spec: ViewSpec): Seq[(AttrRef, AttrRef)] = spec match {
+    case _: Rel               => Seq.empty
+    case Project(_, in)       => joinConditions(in)
+    case Select(_, in)        => joinConditions(in)
+    case Join(l, r, on, _)    => on ++ joinConditions(l) ++ joinConditions(r)
+  }
+
+  private def selectionAtoms(spec: ViewSpec): Seq[Pred.Cmp] = {
+    def atoms(p: Pred): Seq[Pred.Cmp] = p match {
+      case c: Pred.Cmp    => Seq(c)
+      case Pred.And(l, r) => atoms(l) ++ atoms(r)
+      case Pred.Or(l, r)  => atoms(l) ++ atoms(r)
+    }
+    spec match {
+      case _: Rel            => Seq.empty
+      case Project(_, in)    => selectionAtoms(in)
+      case Select(p, in)     => atoms(p) ++ selectionAtoms(in)
+      case Join(l, r, _, _)  => selectionAtoms(l) ++ selectionAtoms(r)
+    }
+  }
+}

@@ -20,7 +20,8 @@ final class ViewEval(val schema: ViewSchema, catalog: Map[String, DataFrame]) {
     }
   }
 
-  private def predColumn(p: Pred): Column = p match {
+  /** `p` as a Catalyst boolean column over the `a<idx>` columns. */
+  def predColumn(p: Pred): Column = p match {
     case Pred.Cmp(a, op, v) =>
       val c = col(schema.colName(a))
       op match {

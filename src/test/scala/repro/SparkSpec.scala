@@ -25,6 +25,20 @@ trait SparkSpec extends AnyFunSuite {
       schema)
   }
 
+  /** Run `body` with the collect threshold `spark.infine.collectThreshold`
+    * set to `n`, then restore the previous setting.
+    */
+  def withThreshold[T](n: Long)(body: => T): T = {
+    val key  = "spark.infine.collectThreshold"
+    val prev = sys.props.get(key)
+    sys.props(key) = n.toString
+    try body
+    finally prev match {
+      case Some(p) => sys.props(key) = p
+      case None    => sys.props.remove(key)
+    }
+  }
+
   /** The reference FD set of a view: materialize it, encode its projected
     * attributes and mine them with TANE, independent of InFine and of the
     * straightforward pipeline.

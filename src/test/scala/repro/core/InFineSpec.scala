@@ -159,6 +159,31 @@ class InFineSpec extends SparkSpec {
       s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
   }
 
+  test("null join keys match nothing, on the driver and at collect threshold 0") {
+    // A null k on each side: an equi-join pairs neither, while FDs still
+    // treat null as one ordinary value.
+    val l = df(Seq("k", "v"), Seq(Seq("1", "x"), Seq(null, "y"), Seq("2", "x"), Seq(null, "z")))
+    val r = df(Seq("k", "w"), Seq(Seq("1", "p"), Seq(null, "q"), Seq("3", "p"), Seq("1", "q")))
+    val cat  = Map("l" -> l, "r" -> r)
+    val spec = Join(Rel("l"), Rel("r"), Seq((AttrRef("l", "k"), AttrRef("r", "k"))))
+    val direct = directFds(spec, cat)
+    val onDriver = InFine.run(spec, cat)
+    val inSpark  = withThreshold(0)(InFine.run(spec, cat))
+    Seq(onDriver, inSpark).foreach { res =>
+      assert(res.fds == direct,
+        s"\nmissing=${(direct -- res.fds).map(res.schema.renderFd)}" +
+        s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
+    }
+    assert(onDriver.countByType == inSpark.countByType)
+  }
+
+  test("a run at collect threshold 0 unpersists every DataFrame it cached") {
+    val sel = Select(Pred.Cmp(AttrRef("admission", "insurance"), "=", "Medicare"), joinSpec)
+    spark.catalog.clearCache()
+    withThreshold(0)(InFine.run(sel, catalog))
+    assert(spark.sharedState.cacheManager.isEmpty)
+  }
+
   test("provenance triples render human-readably") {
     val rendered = result.render
     assert(rendered.nonEmpty)

@@ -42,17 +42,45 @@ class RandomViewSpec extends SparkSpec {
     } else withSel
   }
 
+  /** InFine equals direct mining on random view `seed`. */
+  private def check(seed: Int): Unit = {
+    val rnd     = new scala.util.Random(seed * 7919 + 13)
+    val catalog = randomCatalog(rnd)
+    val spec    = randomSpec(rnd, catalog)
+    val res     = InFine.run(spec, catalog)
+    val direct  = directFds(spec, catalog)
+    assert(res.fds == direct,
+      s"\nspec=${spec.render}" +
+      s"\nmissing=${(direct -- res.fds).map(res.schema.renderFd)}" +
+      s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
+  }
+
   (0 until 12).foreach { seed =>
     test(s"random SPJ view #$seed: InFine == direct mining") {
-      val rnd     = new scala.util.Random(seed * 7919 + 13)
-      val catalog = randomCatalog(rnd)
-      val spec    = randomSpec(rnd, catalog)
-      val res     = InFine.run(spec, catalog)
-      val direct  = directFds(spec, catalog)
-      assert(res.fds == direct,
-        s"\nspec=${spec.render}" +
-        s"\nmissing=${(direct -- res.fds).map(res.schema.renderFd)}" +
-        s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
+      check(seed)
     }
+  }
+
+  // The same views with every sub-view instance left to Spark.
+  (0 until 12).foreach { seed =>
+    test(s"random SPJ view #$seed at collect threshold 0: InFine == direct mining") {
+      withThreshold(0)(check(seed))
+    }
+  }
+
+  test("mixed paths: driver-held base relations feed a Catalyst join") {
+    // 4-row bases and a 7-row join: at threshold 5 the bases stay on the
+    // driver while the join, and the selection above it, go to Spark.
+    val l = df(Seq("k", "v"), Seq(Seq(1, "a"), Seq(1, "b"), Seq(2, "a"), Seq(3, "c")))
+    val r = df(Seq("k", "w"), Seq(Seq(1, "x"), Seq(1, "y"), Seq(1, "x"), Seq(2, "z")))
+    val catalog = Map("l" -> l, "r" -> r)
+    val spec = Select(Pred.Cmp(AttrRef("r", "w"), "=", "x"),
+      Join(Rel("l"), Rel("r"), Seq((AttrRef("l", "k"), AttrRef("r", "k")))))
+    val mixed  = withThreshold(5)(InFine.run(spec, catalog))
+    val direct = directFds(spec, catalog)
+    assert(mixed.fds == direct,
+      s"\nmissing=${(direct -- mixed.fds).map(mixed.schema.renderFd)}" +
+      s"\nextra=${(mixed.fds -- direct).map(mixed.schema.renderFd)}")
+    assert(mixed.countByType == InFine.run(spec, catalog).countByType)
   }
 }

@@ -67,16 +67,9 @@ class ValidatorSpec extends SparkSpec with PropHelper {
   }
 
   test("Validator.forDataFrame picks Spark path over threshold") {
-    val prev = sys.props.get("spark.infine.collectThreshold")
-    sys.props("spark.infine.collectThreshold") = "2"
-    try {
+    withThreshold(2) {
       val d = df(rows, 3)
       assert(Validator.forDataFrame(d, AS.of(0, 1, 2)).isInstanceOf[SparkValidator])
-    } finally {
-      prev match {
-        case Some(p) => sys.props("spark.infine.collectThreshold") = p
-        case None    => sys.props.remove("spark.infine.collectThreshold")
-      }
     }
   }
 
