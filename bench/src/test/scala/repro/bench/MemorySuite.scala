@@ -11,9 +11,10 @@ import repro.fd.HyFD
   * InFine's sampled peak includes Spark's block-manager caches and shuffle
   * buffers for the DataFrames it touches — several GB that are engine
   * state, not algorithm state. The *algorithmic* memory bound of the
-  * paper (two lattice levels at a time) is inherited by construction in
-  * `Tane`/`LatticeSearch`; this suite therefore reports the measured
-  * numbers and asserts only measurement sanity.
+  * paper (two lattice levels at a time) holds in `LatticeSearch`, the one
+  * level-wise engine behind TANE and InFine, and is tested in
+  * `LatticeSearchSpec`; this suite therefore reports the measured numbers
+  * and asserts only measurement sanity.
   */
 class MemorySuite extends AnyFunSuite {
 

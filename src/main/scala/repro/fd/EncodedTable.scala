@@ -86,7 +86,7 @@ object EncodedTable {
 
   /** Collect `df` and dictionary-encode it. The caller is responsible for
     * only collecting instances below the configured threshold; larger
-    * instances stay in Spark and are checked via [[Validator.SparkValidator]].
+    * instances stay in Spark and are checked via [[SparkValidator]].
     */
   def fromDataFrame(df: DataFrame, attrIds: IndexedSeq[Int]): EncodedTable = {
     val width = df.columns.length

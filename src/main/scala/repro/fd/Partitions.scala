@@ -83,9 +83,13 @@ object StrippedPartition {
 }
 
 /** Memoizing partition store over an [[EncodedTable]]. Attribute sets use
-  * *local* column positions of the table. The cache keeps every computed
-  * partition; level-wise miners that care about the two-level memory bound
-  * use their own private products instead.
+  * *local* column positions of the table. A set's partition is the product
+  * of two cached parents (the set less one attribute) where both are held,
+  * as TANE builds a level from the one below; else of its one held parent
+  * and the missing singleton; else of its singletons. The cache keeps the
+  * partition of every set asked for until [[retain]] drops all but the
+  * singletons and the named sets; the level-wise [[LatticeSearch]] calls it
+  * after each level.
   */
 final class PartitionStore(table: EncodedTable) {
   private val cache = new java.util.HashMap[AS.T, StrippedPartition]()
@@ -98,11 +102,28 @@ final class PartitionStore(table: EncodedTable) {
       else if (AS.size(attrs) == 1) {
         StrippedPartition.ofColumn(table.columns(AS.toSeq(attrs).head), table.nRows)
       } else {
-        val split = AS.toSeq(attrs).head
-        StrippedPartition.product(apply(AS.single(split)), apply(AS.remove(attrs, split)))
+        def parent(a: Int) = cache.get(AS.remove(attrs, a))
+        AS.toSeq(attrs).filter(parent(_) != null) match {
+          case Seq(a, b, _*) => StrippedPartition.product(parent(a), parent(b))
+          case Seq(a)        => StrippedPartition.product(parent(a), apply(AS.single(a)))
+          case _             => AS.toSeq(attrs).map(a => apply(AS.single(a))).reduce(StrippedPartition.product)
+        }
       }
     cache.put(attrs, p)
     p
+  }
+
+  /** Drop every cached partition but the singletons' and those of `keep`. */
+  def retain(keep: Iterable[AS.T]): Unit = {
+    val kept = keep.toSet
+    cache.keySet.removeIf(s => AS.size(s) > 1 && !kept(s))
+  }
+
+  /** The attribute sets whose partitions are cached. */
+  private[fd] def held: Set[AS.T] = {
+    val out = Set.newBuilder[AS.T]
+    cache.keySet.forEach(s => out += s)
+    out.result()
   }
 
   /** `lhs → rhs` over local positions, via partition error equality. */

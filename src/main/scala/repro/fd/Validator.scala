@@ -15,6 +15,11 @@ trait FDValidator {
   final def holds(lhs: AS.T, rhs: Int): Boolean =
     cardinality(lhs) == cardinality(AS.add(lhs, rhs))
   final def isKey(attrs: AS.T): Boolean = cardinality(attrs) == nRows
+  /** Keep the cached partitions of only `sets` and of single attributes. A
+    * level-wise search calls this when a level is done, naming the sets the
+    * next level is built from, so that it holds at most two levels.
+    */
+  def retain(sets: Iterable[AS.T]): Unit = ()
 }
 
 /** Driver-side validator over a collected, dictionary-encoded instance —
@@ -23,10 +28,11 @@ trait FDValidator {
   * (|π_X| = n − e(π_X), so equal cardinalities mean equal errors).
   */
 final class DriverValidator(val table: EncodedTable) extends FDValidator {
-  private val store = new PartitionStore(table)
+  private[fd] val store = new PartitionStore(table)
   private def loc(attrs: AS.T): AS.T = AS.fromIterable(AS.toSeq(attrs).map(table.local))
   val nRows: Long = table.nRows
   def cardinality(attrs: AS.T): Long = store(loc(attrs)).cardinality.toLong
+  override def retain(sets: Iterable[AS.T]): Unit = store.retain(sets.map(loc))
 }
 
 /** Spark-side validator: FD checks as distinct-count equalities computed by
@@ -55,6 +61,7 @@ final class LazyValidator(mk: () => FDValidator) extends FDValidator {
   private def force: FDValidator = { materialized = true; v }
   def nRows: Long = force.nRows
   def cardinality(attrs: AS.T): Long = force.cardinality(attrs)
+  override def retain(sets: Iterable[AS.T]): Unit = if (materialized) v.retain(sets)
 }
 
 object Validator {

@@ -1,5 +1,6 @@
 package repro.fd
 
+import scala.collection.mutable
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropHelper
@@ -91,6 +92,56 @@ class LatticeSearchSpec extends AnyFunSuite with PropHelper {
           s"missing=${all -- known -- got} extra=${got -- all}")
         assert(got.intersect(known).isEmpty)
       }
+    }
+  }
+
+  test("property: a random half of the FDs known and a random rhsSpace give the rest in rhsSpace") {
+    val gen = for {
+      t    <- genTable
+      rhs  <- Gen.someOf(0 until t.width)
+      pick <- Gen.listOfN(64, Gen.oneOf(true, false))
+    } yield (t, AS.fromIterable(rhs), pick)
+    forAllN(gen, 200) { case (t, rhs, pick) =>
+      val all   = BruteMiner.mine(t)
+      val known = all.toSeq.sortBy(d => (d.rhs, d.lhs)).zip(pick).collect { case (d, true) => d }.toSet
+      val got   = LatticeSearch.mineNew(AS.universe(t.width), new DriverValidator(t), known,
+        rhsSpace = Some(rhs))
+      assert(got == all.filter(d => AS.contains(rhs, d.rhs)) -- known,
+        s"known=$known rhsSpace=${AS.toSeq(rhs)}")
+    }
+  }
+
+  test("a search holds the singletons' partitions and at most two levels of the others") {
+    val t = table((0 until 60).map { r =>
+      Seq[Any](r % 2, r % 3, (r / 2) % 3, r % 5, (r / 3) % 4, (r * 7) % 6, (r / 5) % 2,
+        (r * 11) % 7, (r / 7) % 3)
+    })
+    val all  = BruteMiner.mine(t)
+    val half = all.toSeq.sortBy(d => (d.rhs, d.lhs)).zipWithIndex.collect { case (d, i) if i % 2 == 0 => d }.toSet
+    val wide: (AS.T, Int) => Boolean = (lhs, _) => AS.size(lhs) >= 3
+    // With nothing known every node checks candidates. With half the FDs
+    // known some nodes check none; with LHSs of three or more attributes
+    // only, nothing is checked below level 4, so no partition is held there.
+    Seq((Set.empty[FD], None), (half, None), (Set.empty[FD], Some(wide))).foreach { case (known, filter) =>
+      val driver = new DriverValidator(t)
+      val held   = mutable.ArrayBuffer.empty[Set[AS.T]]
+      val probe  = new FDValidator {
+        val nRows: Long = driver.nRows
+        def cardinality(attrs: AS.T): Long = {
+          val c = driver.cardinality(attrs)
+          held += driver.store.held
+          c
+        }
+        override def retain(sets: Iterable[AS.T]): Unit = driver.retain(sets)
+      }
+      val got = LatticeSearch.mineNew(AS.universe(t.width), probe, known,
+        candFilter = filter.getOrElse((_, _) => true))
+      if (filter.isEmpty) assert(got == all -- known)
+      else assert(got.nonEmpty && got.forall(d => AS.size(d.lhs) >= 3 && all.exists(_.generalizes(d))))
+      val levels = held.map(_.map(AS.size).filter(_ > 1))
+      assert(levels.flatten.max >= 4, "the search should reach level 4")
+      levels.foreach(ls => assert(ls.isEmpty || ls.max - ls.min <= 1, s"levels held at once: $ls"))
+      assert(driver.store.held.forall(AS.size(_) <= 1), "a finished search keeps only the singletons")
     }
   }
 }

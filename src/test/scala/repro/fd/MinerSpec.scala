@@ -98,6 +98,10 @@ class MinerSpec extends AnyFunSuite with PropHelper {
     val got = Tane.mine(t)
     assert(got.contains(fd(Seq(0, 1), 2)))
     checkAll(t, "(composite key)")
+    // A alone is a key and {B,C}→A is minimal: TANE's key pruning deletes
+    // {A} at level 1, so {B,C}→A comes only from the superkey emission at
+    // {B,C} (see LatticeSearch).
+    checkAll(table(Seq(Seq(0, 0, 0), Seq(1, 0, 1), Seq(2, 1, 0), Seq(3, 1, 1))), "(key A, {B,C}→A)")
   }
 
   test("duplicated rows do not create FDs") {
