@@ -47,55 +47,60 @@ object InFine {
       val driver: DriverEval,
       /** A_V — the view's projected attributes (paper line #2). */
       val minedAttrs: AS.T,
-      /** Most rows of a sub-view instance kept on the driver. */
+      /** Most rows of an inner join paired on the driver: the collect threshold. */
       val threshold: Long,
       val stats: InFineStats,
       val deadline: Deadline,
   ) {
+    /** The DataFrames cached by this run, until [[release]]. */
     private val cached = mutable.ArrayBuffer.empty[DataFrame]
-
-    /** `df`, cached until [[release]]. */
-    def cache(df: DataFrame): DataFrame = { cached += df; df.cache() }
     def release(): Unit = cached.foreach(_.unpersist())
 
-    /** An instance held on the driver. Its validators read its rows' codes. */
-    def onDriver(rows: DriverRows): Instance =
-      new Instance(Some(rows), rows.nRows, attrs =>
-        new DriverValidator(driver.table(rows, AS.intersect(attrs, minedAttrs))))
-
-    /** An instance left to Spark, of `count` rows. Its validators count and
-      * then collect or cache `df` (a cached projection is released with the
-      * rest).
+    /** The instance of `spec` whose base rows the driver holds: sized on
+      * the driver, and read by Spark only if its validators go there.
       */
-    def inSpark(df: DataFrame, count: => Long): Instance =
-      new Instance(None, count, attrs =>
-        Validator.forDataFrame(df, AS.intersect(attrs, minedAttrs)) match {
-          case v: SparkValidator => cache(v.df); v
-          case v                 => v
-        })
+    def onDriver(rows: DriverRows, spec: ViewSpec): Instance =
+      new Instance(Some(rows), rows.nRows, catalyst(spec))
 
-    /** `spec` evaluated by Catalyst and cached (lazily: nothing is computed
-      * until a stage touches the instance), of `count` rows if known.
+    /** `spec` evaluated by Catalyst, of `count` rows if known, else counted
+      * on first use.
       */
     def viaCatalyst(spec: ViewSpec, count: Option[Long] = None): Instance = {
-      val df = cache(eval.eval(spec))
-      inSpark(df, count.getOrElse(df.count()))
+      lazy val df = catalyst(spec)
+      new Instance(None, count.getOrElse(df.count()), df)
     }
+
+    /** A base relation as is, any other sub-view cached (lazily: nothing is
+      * computed until a stage touches it).
+      */
+    private def catalyst(spec: ViewSpec): DataFrame = spec match {
+      case r: Rel => eval.relDf(r)
+      case _      => val df = eval.eval(spec).cache(); cached += df; df
+    }
+
+    /** Validator over `in` restricted to `attrs` ∩ A_V. Lazy: the instance
+      * is only read when a candidate check actually needs data, so purely
+      * logical stages never pair a join's rows nor run a Spark job. Its size
+      * is known, so `Validator.forDataFrame` only picks where the checks
+      * run; a cached projection is released with the rest.
+      */
+    def validator(in: Instance, attrs: AS.T): FDValidator = new LazyValidator(() =>
+      Validator.forDataFrame(in.df, AS.intersect(attrs, minedAttrs), in.count,
+          in.rows.map(rows => driver.table(rows, _))) match {
+        case v: SparkValidator => cached += v.df; v
+        case v                 => v
+      })
   }
 
-  /** A sub-view instance: its rows on the driver when they number at most
-    * the collect threshold, else left to Spark. `count` is computed on first
-    * use, without a Spark job when the size is known on the driver.
+  /** A sub-view instance: the base rows behind its rows whenever the driver
+    * holds them (every base relation, every σ, ⋉ or ⋊ of such rows, and an
+    * inner join of them that is paired on the driver), and the instance as
+    * a DataFrame, built on first use. `count` is computed on first use,
+    * without a Spark job when the rows are on the driver.
     */
-  private final class Instance(val rows: Option[DriverRows], countIt: => Long,
-                               validatorOf: AS.T => FDValidator) {
-    lazy val count: Long = countIt
-
-    /** Validator over this instance restricted to `attrs` ∩ A_V. Lazy: the
-      * instance is only read when a candidate check actually needs data, so
-      * purely-logical stages never pair a join's rows nor run a Spark job.
-      */
-    def validator(attrs: AS.T): FDValidator = new LazyValidator(() => validatorOf(attrs))
+  private final class Instance(val rows: Option[DriverRows], countIt: => Long, dfIt: => DataFrame) {
+    lazy val count: Long   = countIt
+    lazy val df: DataFrame = dfIt
   }
 
   /** Intermediate result of `provFDs` on a sub-view: its instance, its
@@ -152,10 +157,7 @@ object InFine {
   private def provFDs(ctx: Context, spec: ViewSpec, base: Map[String, Set[ProvenanceTriple]]): NodeResult =
     spec match {
       case r: Rel =>
-        val n = ctx.driver.baseRows(r.alias)
-        val instance = if (n <= ctx.threshold) ctx.onDriver(ctx.driver.rel(r))
-                       else ctx.inSpark(ctx.eval.relDf(r), n)
-        NodeResult(instance, ctx.schema.attrsOf(r.alias), base(r.alias))
+        NodeResult(ctx.onDriver(ctx.driver.rel(r), r), ctx.schema.attrsOf(r.alias), base(r.alias))
 
       case Project(attrs, in) =>
         // Mining was restricted to A_V up-front (Section IV-A): recursion
@@ -170,10 +172,10 @@ object InFine {
         val child = provFDs(ctx, in, base)
         val (sel, up) = ctx.stats.time("selection") {
           val sel = child.instance.rows match {
-            case Some(rows) => ctx.onDriver(ctx.driver.select(p, rows))
+            case Some(rows) => ctx.onDriver(ctx.driver.select(p, rows), s)
             case None       => ctx.viaCatalyst(s)
           }
-          (sel, upstaged(ctx, child, sel.count, sel.validator(child.attrs)))
+          (sel, upstaged(ctx, child, sel.count, ctx.validator(sel, child.attrs)))
         }
         val triples = merge(child.triples,
           up.map(d => ProvenanceTriple(d, FDType.UpstagedSelection, s)))
@@ -185,8 +187,8 @@ object InFine {
 
   private def joinNode(ctx: Context, j: Join, lRes: NodeResult, rRes: NodeResult): NodeResult = {
     val schema = ctx.schema
-    // The join on the driver's codes: sized, with its ⋉/⋊ sizes, before
-    // any row is paired.
+    // The join on the driver's codes, at any collect threshold: sized, with
+    // its ⋉/⋊ sizes, before any row is paired.
     val onDriver = for {
       l  <- lRes.instance.rows
       r  <- rRes.instance.rows
@@ -201,23 +203,24 @@ object InFine {
         val left = j.kind == JoinKind.LeftSemi
         val side = if (left) lRes else rRes
         val tpe  = if (left) FDType.UpstagedLeft else FDType.UpstagedRight
-        val sub  = onDriver.fold(ctx.viaCatalyst(j))(dj => ctx.onDriver(if (left) dj.leftSemi else dj.rightSemi))
+        val sub  = onDriver.fold(ctx.viaCatalyst(j))(dj => ctx.onDriver(if (left) dj.leftSemi else dj.rightSemi, j))
         val up = ctx.stats.time("upstaged") {
-          upstaged(ctx, side, sub.count, sub.validator(side.attrs))
+          upstaged(ctx, side, sub.count, ctx.validator(sub, side.attrs))
         }
         NodeResult(sub, side.attrs,
           merge(side.triples, up.map(d => ProvenanceTriple(d, tpe, j))))
 
       case JoinKind.Inner =>
         val attrs = AS.union(lRes.attrs, rRes.attrs)
+        // Paired on the driver only under the collect threshold.
         val instance = onDriver match {
-          case Some(dj) if dj.size <= ctx.threshold => ctx.onDriver(dj.inner)
+          case Some(dj) if dj.size <= ctx.threshold => ctx.onDriver(dj.inner, j)
           case _                                    => ctx.viaCatalyst(j, onDriver.map(_.size))
         }
         // One lazily-materialized validator serves every stage of this join
         // node; if logical pruning leaves nothing to check, the joined
         // instance is never computed at all.
-        val joinValidator = instance.validator(attrs)
+        val joinValidator = ctx.validator(instance, attrs)
 
         // Algorithm 3 — upstaged left/right via semijoin size checks. The
         // FDs over side I's attributes that hold on I ⋈ J are exactly those
@@ -268,7 +271,7 @@ object InFine {
         val instance = ctx.viaCatalyst(j)
         val mined = ctx.stats.time("mine") {
           LatticeSearch.mineNew(AS.intersect(attrs, ctx.minedAttrs),
-            instance.validator(attrs), Set.empty[FD], ctx.deadline)
+            ctx.validator(instance, attrs), Set.empty[FD], ctx.deadline)
         }
         NodeResult(instance, attrs, Provenance.classify(mined, lRes.triples ++ rRes.triples,
           Some((lRes.attrs, rRes.attrs)), j))
@@ -298,7 +301,8 @@ object InFine {
     *
     * `refine`: each inferred `A → b` is minimized on the join validator —
     * the minimal `A' ⊆ A` with `A' → b`, pruned by `known` and by the FDs
-    * refined so far.
+    * refined so far. One search per `A` minimizes all its `b`s, so they
+    * share the partitions of the subsets of `A`.
     */
   private def inferFDs(ctx: Context, joinValidator: FDValidator,
                        left: Side, right: Side, known: Set[FD]): Set[FD] = {
@@ -309,9 +313,9 @@ object InFine {
       val determined = AS.diff(FDSet.closure(dst.keys, dst.known), dst.keys)
       val lhsPool = (src.known.map(_.lhs) + src.keys)
         .filter(a => !AS.isEmpty(a) && AS.subsetOf(src.keys, FDSet.closure(a, src.known)))
-      for (a <- lhsPool; b <- AS.toSeq(determined))
+      for (a <- lhsPool)
         out ++= LatticeSearch.mineNew(a, joinValidator, known ++ out, ctx.deadline,
-          rhsSpace = Some(AS.single(b)))
+          rhsSpace = Some(determined))
     }
     FDSet.minimize(out).filterNot(d => FDSet.subsumedBy(known, d))
   }

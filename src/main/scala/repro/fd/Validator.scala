@@ -65,20 +65,21 @@ final class LazyValidator(mk: () => FDValidator) extends FDValidator {
 }
 
 object Validator {
-  /** Collect threshold: instances at most this many rows are mined on the
-    * driver; larger ones stay distributed. Override with
+  /** Collect threshold: instances of at most this many rows are checked on
+    * the driver; larger ones stay distributed. Override with
     * `-Dspark.infine.collectThreshold=N`.
     */
   def collectThreshold: Long =
     sys.props.get("spark.infine.collectThreshold").map(_.toLong).getOrElse(2_000_000L)
 
-  /** Pick the driver or Spark path for the columns of `attrs` in `df`
-    * based on its row count.
+  /** The validator of the columns `attrs` of `df`, an instance of `nRows`
+    * rows that the caller already knows: on the driver when `nRows` is at
+    * most the collect threshold, over `table(attrs)` if the caller holds
+    * the rows, else over `df` collected; above it, distinct counts in Spark.
+    * `df` is only read when the checks need it.
     */
-  def forDataFrame(df: DataFrame, attrs: AS.T): FDValidator = {
-    val projected = Columns.select(df, attrs)
-    val nRows     = projected.count()
-    if (nRows <= collectThreshold) new DriverValidator(Columns.encode(projected, attrs))
-    else new SparkValidator(projected, nRows)
-  }
+  def forDataFrame(df: => DataFrame, attrs: AS.T, nRows: Long,
+                   table: Option[AS.T => EncodedTable] = None): FDValidator =
+    if (nRows > collectThreshold) new SparkValidator(Columns.select(df, attrs), nRows)
+    else new DriverValidator(table.fold(Columns.encode(df, attrs))(_(attrs)))
 }

@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.TestListenerBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
 import org.scalatest.funsuite.AnyFunSuite
@@ -37,6 +40,19 @@ trait SparkSpec extends AnyFunSuite {
       case Some(p) => sys.props(key) = p
       case None    => sys.props.remove(key)
     }
+  }
+
+  /** Spark jobs started while `body` runs. */
+  def jobsOf(body: => Any): Int = {
+    val sc   = spark.sparkContext
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    TestListenerBus.drain(sc)
+    sc.addSparkListener(listener)
+    try { body; TestListenerBus.drain(sc); jobs.get }
+    finally sc.removeSparkListener(listener)
   }
 
   /** The reference FD set of a view: materialize it, encode its projected

@@ -1,38 +1,68 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
+import scala.collection.mutable
 import org.apache.spark.TestListenerBus
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.LeftSemi
+import org.apache.spark.sql.catalyst.plans.logical.{Deduplicate, Join, LogicalPlan}
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.util.QueryExecutionListener
 import repro.SparkSpec
 import repro.data.Workloads
 
-/** The paper's saving, counted in Spark jobs: under the collect threshold a
-  * view costs one collect per base relation and no join work in Spark.
+/** The paper's saving, counted in Spark work. Step 1 collects each base
+  * relation once, and every size InFine needs of a sub-view over them
+  * (selections, semijoins, inner joins) comes from those codes, at any
+  * collect threshold. So under the threshold a view costs one Spark job per
+  * base relation, and above it Spark runs only the FD checks: one distinct
+  * count per cardinality a validator needs.
   */
 class JobsPerViewSpec extends SparkSpec {
 
-  /** Spark jobs started while `body` runs. */
-  private def jobsOf(body: => Any): Int = {
-    val sc   = spark.sparkContext
-    val jobs = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+  /** The analyzed plans of the `count` actions run while `body` runs. */
+  private def countsOf(body: => Any): Seq[LogicalPlan] = {
+    val sc    = spark.sparkContext
+    val plans = mutable.ArrayBuffer.empty[LogicalPlan]
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        if (funcName == "count") plans.synchronized(plans += qe.analyzed)
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
     }
     TestListenerBus.drain(sc)
-    sc.addSparkListener(listener)
-    try { body; TestListenerBus.drain(sc); jobs.get }
-    finally sc.removeSparkListener(listener)
+    spark.listenerManager.register(listener)
+    try { body; TestListenerBus.drain(sc); plans.synchronized(plans.toList) }
+    finally spark.listenerManager.unregister(listener)
   }
 
-  test("PTC atom ⋈ molecule: at most one Spark job per base relation under the threshold") {
-    val spec    = Workloads.byName("atom ⋈ molecule").spec
+  private def withPtcCatalog[T](body: Map[String, DataFrame] => T): T = {
     val catalog = Workloads.catalog("PTC", spark, 0.02).map { case (k, df) => k -> df.cache() }
-    try {
-      val bases     = spec.rels.size
-      val onDriver  = jobsOf(InFine.run(spec, catalog))
-      val inSpark   = withThreshold(0)(jobsOf(InFine.run(spec, catalog)))
+    try body(catalog) finally catalog.values.foreach(_.unpersist())
+  }
+
+  private val atomMolecule = Workloads.byName("atom ⋈ molecule").spec
+
+  test("PTC atom ⋈ molecule: at most one Spark job per base relation under the threshold") {
+    withPtcCatalog { catalog =>
+      val bases     = atomMolecule.rels.size
+      val onDriver  = jobsOf(InFine.run(atomMolecule, catalog))
+      val inSpark   = withThreshold(0)(jobsOf(InFine.run(atomMolecule, catalog)))
       assert(onDriver <= bases, s"$onDriver jobs for $bases base relations")
       assert(inSpark > bases, s"$inSpark jobs at threshold 0 for $bases base relations")
-    } finally catalog.values.foreach(_.unpersist())
+    }
+  }
+
+  test("PTC atom ⋈ molecule at threshold 0: every Spark count is a validator's distinct count") {
+    withPtcCatalog { catalog =>
+      val counts = withThreshold(0)(countsOf(InFine.run(atomMolecule, catalog)))
+      assert(counts.nonEmpty, "at threshold 0 the join's candidates are checked in Spark")
+      counts.foreach { plan =>
+        assert(!plan.exists {
+          case j: Join => j.joinType == LeftSemi
+          case _       => false
+        }, s"a semijoin counted in Spark, its size is known on the driver:\n$plan")
+        assert(plan.exists(_.isInstanceOf[Deduplicate]),
+          s"an instance counted in Spark, its size is known on the driver:\n$plan")
+      }
+    }
   }
 }

@@ -83,4 +83,27 @@ class RandomViewSpec extends SparkSpec {
       s"\nextra=${(mixed.fds -- direct).map(mixed.schema.renderFd)}")
     assert(mixed.countByType == InFine.run(spec, catalog).countByType)
   }
+
+  test("back to the driver: a σ and a ⋉ under the threshold over bases above it") {
+    // 6-row bases at threshold 4. σ_{w=a}(l) keeps 3 rows, on which k is a
+    // key and w constant; its ⋉ with r keeps the 2 rows of k ∈ {1, 3}, on
+    // which v is constant. Both are sized and checked on the driver, so
+    // Spark runs only Step 1's collects.
+    val l = df(Seq("k", "v", "w"), Seq(Seq(1, "p", "a"), Seq(2, "q", "a"), Seq(3, "p", "a"),
+      Seq(1, "q", "b"), Seq(4, "r", "b"), Seq(5, "r", "b")))
+    val r = df(Seq("k", "x"), Seq(Seq(1, "x"), Seq(3, "y"), Seq(3, "z"), Seq(6, "x"), Seq(7, "y"), Seq(8, "z")))
+    val catalog = Map("l" -> l, "r" -> r)
+    val spec = Join(Select(Pred.Cmp(AttrRef("l", "w"), "=", "a"), Rel("l")), Rel("r"),
+      Seq((AttrRef("l", "k"), AttrRef("r", "k"))), JoinKind.LeftSemi)
+    val res    = withThreshold(4)(InFine.run(spec, catalog))
+    val direct = directFds(spec, catalog)
+    assert(res.fds == direct,
+      s"\nmissing=${(direct -- res.fds).map(res.schema.renderFd)}" +
+      s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
+    assert(res.countByType == InFine.run(spec, catalog).countByType)
+    assert(res.countByType(FDType.UpstagedSelection) > 0 && res.countByType(FDType.UpstagedLeft) > 0,
+      res.render.mkString("\n"))
+    val jobs = withThreshold(4)(jobsOf(InFine.run(spec, catalog)))
+    assert(jobs <= spec.rels.size, s"$jobs Spark jobs for ${spec.rels.size} base relations")
+  }
 }

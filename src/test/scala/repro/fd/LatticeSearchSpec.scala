@@ -81,6 +81,19 @@ class LatticeSearchSpec extends AnyFunSuite with PropHelper {
     }
   }
 
+  test("property: an rhsSpace B of several attributes outside the universe A gives BruteMiner's FDs A' → b, A' ⊆ A, b ∈ B") {
+    val gen = for {
+      t <- genTable.suchThat(_.width >= 3)
+      b <- Gen.atLeastOne(0 until t.width).suchThat(b => b.size >= 2 && b.size < t.width)
+      a <- Gen.someOf((0 until t.width).filterNot(b.contains))
+    } yield (t, AS.fromIterable(a), AS.fromIterable(b))
+    forAllN(gen, 120) { case (t, a, b) =>
+      val got = LatticeSearch.mineNew(a, new DriverValidator(t), Set.empty[FD], rhsSpace = Some(b))
+      assert(got == BruteMiner.mine(t).filter(d => AS.subsetOf(d.lhs, a) && AS.contains(b, d.rhs)),
+        s"universe=${AS.toSeq(a)} rhsSpace=${AS.toSeq(b)}")
+    }
+  }
+
   test("property: known ∪ mineNew == full set, and outputs are disjoint from known") {
     forAllN(genTable, 120) { t =>
       val all = BruteMiner.mine(t)

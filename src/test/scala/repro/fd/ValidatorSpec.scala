@@ -63,14 +63,22 @@ class ValidatorSpec extends SparkSpec with PropHelper {
 
   test("Validator.forDataFrame picks driver path under threshold") {
     val d = df(rows, 3)
-    assert(Validator.forDataFrame(d, AS.of(0, 1, 2)).isInstanceOf[DriverValidator])
+    assert(Validator.forDataFrame(d, AS.of(0, 1, 2), d.count()).isInstanceOf[DriverValidator])
   }
 
   test("Validator.forDataFrame picks Spark path over threshold") {
     withThreshold(2) {
       val d = df(rows, 3)
-      assert(Validator.forDataFrame(d, AS.of(0, 1, 2)).isInstanceOf[SparkValidator])
+      assert(Validator.forDataFrame(d, AS.of(0, 1, 2), d.count()).isInstanceOf[SparkValidator])
     }
+  }
+
+  test("Validator.forDataFrame under threshold reads a given table, not the DataFrame") {
+    val t = EncodedTable.fromRows(rows, IndexedSeq(0, 1, 2))
+    val v = Validator.forDataFrame(sys.error("the DataFrame was read"), AS.of(0, 2), t.nRows,
+      Some(t.project))
+    assert(v.isInstanceOf[DriverValidator])
+    assert(v.cardinality(AS.of(0, 2)) == 3)
   }
 
   test("property: Spark and driver validators agree on random tables") {
