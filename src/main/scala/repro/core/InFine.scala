@@ -126,7 +126,7 @@ object InFine {
     val aV     = schema.idsOf(spec)
     val (driver, base) = stats.time("base") {
       val driver = DriverEval.collect(eval, spec, aV)
-      (driver, mineBases(schema, spec, aV, baseMiner, deadline)(driver.baseTable))
+      (driver, baseTriples(driver, spec, aV, baseMiner, deadline))
     }
     val ctx = new Context(schema, eval, driver, aV, Validator.collectThreshold, stats, deadline)
     try InFineResult(schema, provFDs(ctx, spec, base).triples, stats)
@@ -134,22 +134,14 @@ object InFine {
   }
 
   /** Step 1 (lines #3–5): `miner`'s FDs of each base-relation instance of
-    * `spec`, limited to the attributes `aV` surviving the view's
-    * projections, as "base" triples by alias.
+    * `spec`, over the columns `driver` collected of it that survive the
+    * view's projections (`aV`), as "base" triples by alias.
     */
-  def baseTriples(eval: ViewEval, spec: ViewSpec, aV: AS.T, miner: Miner,
-                  deadline: Deadline): Map[String, Set[ProvenanceTriple]] =
-    mineBases(eval.schema, spec, aV, miner, deadline)((r, attrs) => Columns.encode(eval.relDf(r), attrs))
-
-  /** [[baseTriples]] over the encoded columns `table(r, attrs)` of each
-    * relation instance `r`.
-    */
-  private def mineBases(schema: ViewSchema, spec: ViewSpec, aV: AS.T, miner: Miner, deadline: Deadline)
-                       (table: (Rel, AS.T) => EncodedTable): Map[String, Set[ProvenanceTriple]] =
+  private[core] def baseTriples(driver: DriverEval, spec: ViewSpec, aV: AS.T, miner: Miner,
+                                deadline: Deadline): Map[String, Set[ProvenanceTriple]] =
     spec.rels.map { r =>
-      val mineable = AS.intersect(schema.attrsOf(r.alias), aV)
-      val fds = if (AS.isEmpty(mineable)) Set.empty[FD]
-                else miner.mine(table(r, mineable), deadline)
+      val table = driver.baseTable(r, aV)
+      val fds   = if (table.width == 0) Set.empty[FD] else miner.mine(table, deadline)
       r.alias -> fds.map(ProvenanceTriple(_, FDType.Base, r))
     }.toMap
 
@@ -188,12 +180,12 @@ object InFine {
   private def joinNode(ctx: Context, j: Join, lRes: NodeResult, rRes: NodeResult): NodeResult = {
     val schema = ctx.schema
     // The join on the driver's codes, at any collect threshold: sized, with
-    // its ⋉/⋊ sizes, before any row is paired.
+    // its ⋉/⋊ sizes, before any row is paired. None for a join the driver
+    // does not pair (an outer join, key types that differ).
     val onDriver = for {
       l  <- lRes.instance.rows
       r  <- rRes.instance.rows
-      if j.kind == JoinKind.Inner || j.kind == JoinKind.LeftSemi || j.kind == JoinKind.RightSemi
-      dj <- ctx.stats.time("upstaged")(ctx.driver.join(l, r, j.on))
+      dj <- ctx.stats.time("upstaged")(ctx.driver.join(l, r, j))
     } yield dj
 
     j.kind match {

@@ -28,28 +28,34 @@ object Straightforward {
     val schema = ViewSchema.of(spec, t => catalog(t).columns.toSeq)
     val eval   = new ViewEval(schema, catalog)
 
-    // 1. Full SPJ view computation (the cost InFine avoids).
-    val t0   = System.nanoTime()
-    val df   = eval.eval(spec).cache()
-    val rows = df.count()
+    // 1. Full SPJ view computation (the cost InFine avoids), on the driver:
+    // InFine's Step 1 collects each base relation once, and the view is
+    // evaluated on those codes. A view with a join the driver cannot pair
+    // (an outer join, key columns of different types) is collected from
+    // Catalyst instead.
+    val aV     = schema.idsOf(spec)
+    val t0     = System.nanoTime()
+    val driver = DriverEval.collect(eval, spec, aV)
+    val (view, rows) = driver.eval(spec) match {
+      case Some(in) => (driver.table(in, aV), in.nRows.toLong)
+      case None     => val t = Columns.encode(eval.eval(spec), aV); (t, t.nRows.toLong)
+    }
     val tView = (System.nanoTime() - t0) / 1e9
 
     // 2. Classical FD discovery over the materialized result.
-    val aV  = schema.idsOf(spec)
     val t1  = System.nanoTime()
-    val fds = miner.mine(Columns.encode(df, aV), deadline)
+    val fds = miner.mine(view, deadline)
     val tMine = (System.nanoTime() - t1) / 1e9
 
     // 3. Provenance recovery: compare with the base-table FD sets (mined
-    // separately — that cost is excluded on both sides, as in the paper)
-    // and with the two sides of the top join.
+    // from Step 1's tables — that cost is excluded on both sides, as in the
+    // paper) and with the two sides of the top join.
     val t2 = System.nanoTime()
-    val base    = InFine.baseTriples(eval, spec, aV, miner, deadline).values.flatten.toSet
+    val base    = InFine.baseTriples(driver, spec, aV, miner, deadline).values.flatten.toSet
     val sides   = spec.topJoin.map(j => (schema.idsOf(j.left), schema.idsOf(j.right)))
     val triples = Provenance.classify(fds, base, sides, spec)
     val tDiff = (System.nanoTime() - t2) / 1e9
 
-    df.unpersist()
     Result(schema, fds, triples, tView, tMine, tDiff, rows)
   }
 }

@@ -84,9 +84,11 @@ object EncodedTable {
     def codeOf(v: Any): Int = { val c = codes.get(v); if (c == null) -1 else c }
   }
 
-  /** Collect `df` and dictionary-encode it. The caller is responsible for
-    * only collecting instances below the configured threshold; larger
-    * instances stay in Spark and are checked via [[SparkValidator]].
+  /** Collect `df` and dictionary-encode it, whatever its size: the caller
+    * decides what fits on the driver. `Validator.forDataFrame` collects only
+    * instances under the collect threshold and checks larger ones through
+    * [[SparkValidator]]; the straightforward pipeline collects a view that
+    * the driver cannot evaluate from its base relations.
     */
   def fromDataFrame(df: DataFrame, attrIds: IndexedSeq[Int]): EncodedTable = {
     val width = df.columns.length

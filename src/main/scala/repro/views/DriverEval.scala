@@ -19,12 +19,12 @@ final class DriverRows(val nRows: Int, build: => Map[String, Array[Int]]) {
     new DriverRows(n, { val k = keep; lineage.map { case (a, rows) => a -> k.map(rows(_)) } })
 }
 
-/** The driver twin of [[ViewEval]] for instances under the collect
-  * threshold: selections, semijoins and inner equi-joins evaluated on the
-  * int codes of the base relations that [[DriverEval.collect]] collected
-  * once, with Spark's semantics. Selection atoms were evaluated by Catalyst
-  * at collect time (type coercion and null handling included) and combine
-  * here under SQL's three-valued AND/OR; a null join key matches nothing.
+/** The driver twin of [[ViewEval]]: selections, semijoins and inner
+  * equi-joins evaluated on the int codes of the base relations that
+  * [[DriverEval.collect]] collected once, with Spark's semantics. Selection
+  * atoms were evaluated by Catalyst at collect time (type coercion and null
+  * handling included) and combine here under SQL's three-valued AND/OR; a
+  * null join key matches nothing.
   */
 final class DriverEval private (
     schema: ViewSchema,
@@ -52,14 +52,28 @@ final class DriverEval private (
     in.gather(keep, keep.length)
   }
 
-  /** The equi-join of `l` and `r` on `on`, sized before any row is
-    * paired; None unless each pair of key columns has one Spark type, and
-    * one whose values compare equal in Java exactly when Spark's equi-join
-    * matches them.
+  /** `spec`'s instance: None if one of its joins is one [[join]] cannot pair. */
+  def eval(spec: ViewSpec): Option[DriverRows] = spec match {
+    case r: Rel         => Some(rel(r))
+    case Project(_, in) => eval(in)
+    case Select(p, in)  => eval(in).map(select(p, _))
+    case j: Join =>
+      for (l <- eval(j.left); r <- eval(j.right); dj <- join(l, r, j)) yield j.kind match {
+        case JoinKind.LeftSemi  => dj.leftSemi
+        case JoinKind.RightSemi => dj.rightSemi
+        case _                  => dj.inner
+      }
+  }
+
+  /** The inner join or semijoin `j` of `l` and `r`, sized before any row is
+    * paired. None for an outer join, and unless each pair of key columns has
+    * one Spark type, and one whose values compare equal in Java exactly when
+    * Spark's equi-join matches them.
     */
-  def join(l: DriverRows, r: DriverRows, on: Seq[(AttrRef, AttrRef)]): Option[DriverJoin] = {
-    val ids = on.map { case (a, b) => (schema.id(a), schema.id(b)) }
-    if (!ids.forall { case (a, b) => keyTypes(a) == keyTypes(b) && codeEquality(keyTypes(a)) }) None
+  def join(l: DriverRows, r: DriverRows, j: Join): Option[DriverJoin] = {
+    val ids = j.on.map { case (a, b) => (schema.id(a), schema.id(b)) }
+    val sameKeys = ids.forall { case (a, b) => keyTypes(a) == keyTypes(b) && codeEquality(keyTypes(a)) }
+    if (!pairable(j.kind) || !sameKeys) None
     else {
       val (lKey, rKey) = ids
         .map { case (a, b) => (keyCodes(l, a), keyCodes(r, b)) }
@@ -170,6 +184,9 @@ object DriverEval {
   private val False: Byte = 0
   private val Unknown: Byte = 1
   private val True: Byte = 2
+
+  /** The join kinds the driver pairs: null padding is left to Catalyst. */
+  private val pairable: Set[JoinKind] = Set(JoinKind.Inner, JoinKind.LeftSemi, JoinKind.RightSemi)
 
   /** Collect each base-relation instance of `spec` once: its attributes in
     * `attrs`, its join attributes, and one nullable boolean column per

@@ -9,13 +9,16 @@ import org.apache.spark.sql.execution.QueryExecution
 import org.apache.spark.sql.util.QueryExecutionListener
 import repro.SparkSpec
 import repro.data.Workloads
+import repro.fd.Tane
 
 /** The paper's saving, counted in Spark work. Step 1 collects each base
   * relation once, and every size InFine needs of a sub-view over them
   * (selections, semijoins, inner joins) comes from those codes, at any
   * collect threshold. So under the threshold a view costs one Spark job per
   * base relation, and above it Spark runs only the FD checks: one distinct
-  * count per cardinality a validator needs.
+  * count per cardinality a validator needs. The straightforward pipeline
+  * builds its view from the same collects, so it too costs one Spark job per
+  * base relation, at any threshold.
   */
 class JobsPerViewSpec extends SparkSpec {
 
@@ -63,6 +66,16 @@ class JobsPerViewSpec extends SparkSpec {
         assert(plan.exists(_.isInstanceOf[Deduplicate]),
           s"an instance counted in Spark, its size is known on the driver:\n$plan")
       }
+    }
+  }
+
+  test("PTC atom ⋈ molecule: Straightforward starts at most one Spark job per base relation") {
+    withPtcCatalog { catalog =>
+      val bases  = atomMolecule.rels.size
+      val atDflt = jobsOf(Straightforward.run(atomMolecule, catalog, Tane))
+      val atZero = withThreshold(0)(jobsOf(Straightforward.run(atomMolecule, catalog, Tane)))
+      assert(atDflt <= bases, s"$atDflt jobs for $bases base relations")
+      assert(atZero <= bases, s"$atZero jobs at threshold 0 for $bases base relations")
     }
   }
 }

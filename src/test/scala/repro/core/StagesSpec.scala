@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.fd.{AttrSet => AS, _}
 import repro.views._
@@ -136,6 +137,30 @@ class StagesSpec extends SparkSpec {
       val spec = Join(Rel("l"), Rel("r"), Seq((AttrRef("l", "k"), AttrRef("r", "k2"))))
       val res = Straightforward.run(spec, Map("l" -> l, "r" -> r), m)
       assert(res.fds == Straightforward.run(spec, Map("l" -> l, "r" -> r), Tane).fds)
+    }
+  }
+
+  test("Straightforward caches nothing, also when its miner times out") {
+    val l = df(Seq("k", "a"), Seq(Seq("1", "p"), Seq("2", "q")))
+    val r = df(Seq("k2", "b"), Seq(Seq("1", "u"), Seq("2", "v")))
+    val spec = Join(Rel("l"), Rel("r"), Seq((AttrRef("l", "k"), AttrRef("r", "k2"))))
+    spark.catalog.clearCache()
+    intercept[MinerTimeout](Straightforward.run(spec, Map("l" -> l, "r" -> r), Tane, Deadline.in(0)))
+    assert(spark.sharedState.cacheManager.isEmpty)
+  }
+
+  test("Straightforward on outer joins and mismatched key types matches direct mining") {
+    // A null key and a key without partner on each side; "01" equals 1 only
+    // once Spark coerces the string key to the int one.
+    val l  = df(Seq("k", "a"), Seq(Seq("1", "p"), Seq("01", "q"), Seq("2", "p"), Seq(null, "r")))
+    val r  = df(Seq("k2", "b"), Seq(Seq("1", "u"), Seq("3", "v"), Seq(null, "u")))
+    val ri = r.withColumn("k2", col("k2").cast("int"))
+    for (right <- Seq(r, ri); kind <- Seq(JoinKind.LeftOuter, JoinKind.FullOuter, JoinKind.Inner)) {
+      val spec    = Join(Rel("l"), Rel("r"), Seq((AttrRef("l", "k"), AttrRef("r", "k2"))), kind)
+      val catalog = Map("l" -> l, "r" -> right)
+      val sf      = Straightforward.run(spec, catalog, Tane)
+      assert(sf.fds == directFds(spec, catalog), spec.render)
+      assert(sf.viewRows == new ViewEval(sf.schema, catalog).eval(spec).count(), spec.render)
     }
   }
 }
