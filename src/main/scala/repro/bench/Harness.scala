@@ -102,6 +102,7 @@ object Harness {
     // needs (that's the whole point of the method). Base-table mining time
     // is subtracted afterwards: the paper excludes it on both sides ("these
     // costs are the same"), and the baseline column already excludes it.
+    // Step 1's collect stays in, as the baseline's view time includes it.
     val (res, rawSecs, peak) = measure(InFine.run(w.spec, cat))
     val secs = math.max(0.0, rawSecs - res.stats.seconds("base"))
     val schema = res.schema

@@ -6,10 +6,12 @@ import repro.fd.{AttrSet => AS, _}
 import repro.views._
 
 /** Per-stage wall-clock accounting mirroring the paper's Table III /
-  * Figure 5 breakdown. Semijoin size checks count into `upstaged`; candidate
-  * checks on a join node's shared validator count into the stage that runs
-  * them (refine → `inferred`, join-FD search → `mine`), and the join
-  * instance is materialized inside whichever stage checks a candidate first.
+  * Figure 5 breakdown. Step 1's collect of the base relations counts into
+  * `collect`, their mining into `base`. Semijoin size checks count into
+  * `upstaged`; candidate checks on a join node's shared validator count into
+  * the stage that runs them (refine → `inferred`, join-FD search → `mine`),
+  * and the join instance is materialized inside whichever stage checks a
+  * candidate first.
   */
 final class InFineStats {
   val nanos = mutable.Map.empty[String, Long].withDefaultValue(0L)
@@ -47,8 +49,6 @@ object InFine {
       val driver: DriverEval,
       /** A_V — the view's projected attributes (paper line #2). */
       val minedAttrs: AS.T,
-      /** Most rows of an inner join paired on the driver: the collect threshold. */
-      val threshold: Long,
       val stats: InFineStats,
       val deadline: Deadline,
   ) {
@@ -56,18 +56,14 @@ object InFine {
     private val cached = mutable.ArrayBuffer.empty[DataFrame]
     def release(): Unit = cached.foreach(_.unpersist())
 
-    /** The instance of `spec` whose base rows the driver holds: sized on
-      * the driver, and read by Spark only if its validators go there.
+    /** The instance of `spec`, with the base rows behind its rows if the
+      * driver holds them: then sized without a Spark job, else counted by
+      * Spark on first use. Its DataFrame is built only if it is counted or
+      * its validators go to Spark.
       */
-    def onDriver(rows: DriverRows, spec: ViewSpec): Instance =
-      new Instance(Some(rows), rows.nRows, catalyst(spec))
-
-    /** `spec` evaluated by Catalyst, of `count` rows if known, else counted
-      * on first use.
-      */
-    def viaCatalyst(spec: ViewSpec, count: Option[Long] = None): Instance = {
+    def instance(spec: ViewSpec, rows: Option[DriverRows]): Instance = {
       lazy val df = catalyst(spec)
-      new Instance(None, count.getOrElse(df.count()), df)
+      new Instance(rows, rows.fold(df.count())(_.nRows.toLong), df)
     }
 
     /** A base relation as is, any other sub-view cached (lazily: nothing is
@@ -92,11 +88,11 @@ object InFine {
       })
   }
 
-  /** A sub-view instance: the base rows behind its rows whenever the driver
-    * holds them (every base relation, every σ, ⋉ or ⋊ of such rows, and an
-    * inner join of them that is paired on the driver), and the instance as
-    * a DataFrame, built on first use. `count` is computed on first use,
-    * without a Spark job when the rows are on the driver.
+  /** A sub-view instance: the base rows behind its rows whenever
+    * `DriverEval.eval` returns them (no outer join, join keys of one
+    * comparable type), and the instance as a DataFrame, built on first use.
+    * `count` is computed on first use, without a Spark job when the rows
+    * are on the driver.
     */
   private final class Instance(val rows: Option[DriverRows], countIt: => Long, dfIt: => DataFrame) {
     lazy val count: Long   = countIt
@@ -124,11 +120,9 @@ object InFine {
     val eval   = new ViewEval(schema, catalog)
     val stats  = new InFineStats
     val aV     = schema.idsOf(spec)
-    val (driver, base) = stats.time("base") {
-      val driver = DriverEval.collect(eval, spec, aV)
-      (driver, baseTriples(driver, spec, aV, baseMiner, deadline))
-    }
-    val ctx = new Context(schema, eval, driver, aV, Validator.collectThreshold, stats, deadline)
+    val driver = stats.time("collect")(DriverEval.collect(eval, spec, aV))
+    val base   = stats.time("base")(baseTriples(driver, spec, aV, baseMiner, deadline))
+    val ctx    = new Context(schema, eval, driver, aV, stats, deadline)
     try InFineResult(schema, provFDs(ctx, spec, base).triples, stats)
     finally ctx.release()
   }
@@ -149,7 +143,7 @@ object InFine {
   private def provFDs(ctx: Context, spec: ViewSpec, base: Map[String, Set[ProvenanceTriple]]): NodeResult =
     spec match {
       case r: Rel =>
-        NodeResult(ctx.onDriver(ctx.driver.rel(r), r), ctx.schema.attrsOf(r.alias), base(r.alias))
+        NodeResult(ctx.instance(r, Some(ctx.driver.rel(r))), ctx.schema.attrsOf(r.alias), base(r.alias))
 
       case Project(attrs, in) =>
         // Mining was restricted to A_V up-front (Section IV-A): recursion
@@ -163,10 +157,7 @@ object InFine {
       case s @ Select(p, in) =>
         val child = provFDs(ctx, in, base)
         val (sel, up) = ctx.stats.time("selection") {
-          val sel = child.instance.rows match {
-            case Some(rows) => ctx.onDriver(ctx.driver.select(p, rows), s)
-            case None       => ctx.viaCatalyst(s)
-          }
+          val sel = ctx.instance(s, child.instance.rows.map(ctx.driver.select(p, _)))
           (sel, upstaged(ctx, child, sel.count, ctx.validator(sel, child.attrs)))
         }
         val triples = merge(child.triples,
@@ -179,14 +170,15 @@ object InFine {
 
   private def joinNode(ctx: Context, j: Join, lRes: NodeResult, rRes: NodeResult): NodeResult = {
     val schema = ctx.schema
-    // The join on the driver's codes, at any collect threshold: sized, with
-    // its ⋉/⋊ sizes, before any row is paired. None for a join the driver
-    // does not pair (an outer join, key types that differ).
+    // The join on the driver's codes: sized, with its ⋉/⋊ sizes, before
+    // any row is paired. None for a join the driver does not pair (an outer
+    // join, key types that differ).
     val onDriver = for {
       l  <- lRes.instance.rows
       r  <- rRes.instance.rows
       dj <- ctx.stats.time("upstaged")(ctx.driver.join(l, r, j))
     } yield dj
+    val instance = ctx.instance(j, onDriver.flatMap(_.rows(j.kind)))
 
     j.kind match {
       case JoinKind.LeftSemi | JoinKind.RightSemi =>
@@ -195,20 +187,14 @@ object InFine {
         val left = j.kind == JoinKind.LeftSemi
         val side = if (left) lRes else rRes
         val tpe  = if (left) FDType.UpstagedLeft else FDType.UpstagedRight
-        val sub  = onDriver.fold(ctx.viaCatalyst(j))(dj => ctx.onDriver(if (left) dj.leftSemi else dj.rightSemi, j))
         val up = ctx.stats.time("upstaged") {
-          upstaged(ctx, side, sub.count, ctx.validator(sub, side.attrs))
+          upstaged(ctx, side, instance.count, ctx.validator(instance, side.attrs))
         }
-        NodeResult(sub, side.attrs,
+        NodeResult(instance, side.attrs,
           merge(side.triples, up.map(d => ProvenanceTriple(d, tpe, j))))
 
       case JoinKind.Inner =>
         val attrs = AS.union(lRes.attrs, rRes.attrs)
-        // Paired on the driver only under the collect threshold.
-        val instance = onDriver match {
-          case Some(dj) if dj.size <= ctx.threshold => ctx.onDriver(dj.inner, j)
-          case _                                    => ctx.viaCatalyst(j, onDriver.map(_.size))
-        }
         // One lazily-materialized validator serves every stage of this join
         // node; if logical pruning leaves nothing to check, the joined
         // instance is never computed at all.
@@ -259,8 +245,7 @@ object InFine {
         // fall back to a direct pruned mining of the sub-view and classify
         // against the children (none of the paper's 16 experimental views
         // uses an outer join).
-        val attrs    = AS.union(lRes.attrs, rRes.attrs)
-        val instance = ctx.viaCatalyst(j)
+        val attrs = AS.union(lRes.attrs, rRes.attrs)
         val mined = ctx.stats.time("mine") {
           LatticeSearch.mineNew(AS.intersect(attrs, ctx.minedAttrs),
             ctx.validator(instance, attrs), Set.empty[FD], ctx.deadline)

@@ -85,10 +85,11 @@ object EncodedTable {
   }
 
   /** Collect `df` and dictionary-encode it, whatever its size: the caller
-    * decides what fits on the driver. `Validator.forDataFrame` collects only
-    * instances under the collect threshold and checks larger ones through
-    * [[SparkValidator]]; the straightforward pipeline collects a view that
-    * the driver cannot evaluate from its base relations.
+    * decides what fits on the driver. Both pipelines collect only an
+    * instance that `DriverEval` cannot evaluate from the base relations it
+    * holds: `Validator.forDataFrame` when the instance's checks run on the
+    * driver (at most the collect threshold rows; larger ones go to
+    * [[SparkValidator]]), the straightforward pipeline for its view.
     */
   def fromDataFrame(df: DataFrame, attrIds: IndexedSeq[Int]): EncodedTable = {
     val width = df.columns.length

@@ -45,19 +45,22 @@ object FastFDs extends Miner {
     * plus (if present) the all-attributes set for fully-disagreeing pairs.
     * Pairs are enumerated inside single-attribute partition classes so pairs
     * agreeing on nothing are never materialized; the full-difference set is
-    * detected by counting.
+    * detected by counting. A pair is counted only in the class of the
+    * first column it agrees on, so no set of seen pairs, which would grow
+    * with the square of the rows, is needed.
     */
   private def computeDifferenceSets(table: EncodedTable, deadline: Deadline): Set[AS.T] = {
     val k = table.width
     val n = table.nRows
     val universe = AS.universe(k)
-    val seenPairs = new java.util.HashSet[Long]()
-    val diffs     = mutable.Set.empty[AS.T]
+    var agreeing = 0L
+    val diffs    = mutable.Set.empty[AS.T]
 
     var c = 0
     var sinceCheck = 0
     while (c < k) {
       val p = StrippedPartition.ofColumn(table.columns(c), n)
+      val before = AS.universe(c)
       var ci = 0
       while (ci < p.classes.length) {
         deadline.check(name)
@@ -70,10 +73,9 @@ object FastFDs extends Miner {
             // the budget inside the pair loop, not just per class.
             sinceCheck += 1
             if ((sinceCheck & 0xFFFF) == 0) deadline.check(name)
-            val t = math.min(cls(i), cls(j)); val u = math.max(cls(i), cls(j))
-            val key = t.toLong * n + u
-            if (seenPairs.add(key)) {
-              val d = table.diff(t, u)
+            val d = table.diff(cls(i), cls(j))
+            if (AS.subsetOf(before, d)) {
+              agreeing += 1
               if (!AS.isEmpty(d)) diffs += d
             }
             j += 1
@@ -86,7 +88,7 @@ object FastFDs extends Miner {
     }
     // Pairs sharing no attribute value have difference set = universe.
     val totalPairs = n.toLong * (n - 1) / 2
-    if (seenPairs.size.toLong < totalPairs && n > 1) diffs += universe
+    if (agreeing < totalPairs && n > 1) diffs += universe
     diffs.toSet
   }
 

@@ -65,9 +65,11 @@ final class LazyValidator(mk: () => FDValidator) extends FDValidator {
 }
 
 object Validator {
-  /** Collect threshold: instances of at most this many rows are checked on
-    * the driver; larger ones stay distributed. Override with
-    * `-Dspark.infine.collectThreshold=N`.
+  /** Collect threshold: the FD checks of an instance of at most this many
+    * rows run on the driver, over its stripped partitions; those of a larger
+    * one run as distinct counts in Spark. It picks only where checks run:
+    * whether the driver holds a sub-view's rows is `DriverEval`'s rule, at
+    * any size. Override with `-Dspark.infine.collectThreshold=N`.
     */
   def collectThreshold: Long =
     sys.props.get("spark.infine.collectThreshold").map(_.toLong).getOrElse(2_000_000L)

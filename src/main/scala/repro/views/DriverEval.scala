@@ -52,17 +52,15 @@ final class DriverEval private (
     in.gather(keep, keep.length)
   }
 
-  /** `spec`'s instance: None if one of its joins is one [[join]] cannot pair. */
+  /** `spec`'s instance: None if one of its joins is one [[join]] cannot pair
+    * or one whose [[DriverJoin.rows]] are None.
+    */
   def eval(spec: ViewSpec): Option[DriverRows] = spec match {
     case r: Rel         => Some(rel(r))
     case Project(_, in) => eval(in)
     case Select(p, in)  => eval(in).map(select(p, _))
     case j: Join =>
-      for (l <- eval(j.left); r <- eval(j.right); dj <- join(l, r, j)) yield j.kind match {
-        case JoinKind.LeftSemi  => dj.leftSemi
-        case JoinKind.RightSemi => dj.rightSemi
-        case _                  => dj.inner
-      }
+      for (l <- eval(j.left); r <- eval(j.right); dj <- join(l, r, j); rows <- dj.rows(j.kind)) yield rows
   }
 
   /** The inner join or semijoin `j` of `l` and `r`, sized before any row is
@@ -124,8 +122,8 @@ final class DriverEval private (
 
 /** An inner equi-join of two driver instances, sized from per-key row
   * counts: |l ⋈ r| = Σ_k |l_k|·|r_k|, and the ⋉/⋊ sizes count the rows
-  * whose key has a match. Rows are paired only when [[inner]] or a semijoin
-  * instance is read. Keys are dense ids, -1 for a null key.
+  * whose key has a match. Rows are paired only when the lineage of
+  * [[rows]] is read. Keys are dense ids, -1 for a null key.
   */
 final class DriverJoin private[views] (l: DriverRows, r: DriverRows,
                                        lKey: Array[Int], rKey: Array[Int]) {
@@ -137,14 +135,19 @@ final class DriverJoin private[views] (l: DriverRows, r: DriverRows,
   val leftMatched: Int  = lKey.count(k => k >= 0 && rCount(k) > 0)
   val rightMatched: Int = rKey.count(k => k >= 0 && lCount(k) > 0)
 
-  /** l ⋉ r. */
-  def leftSemi: DriverRows = l.gather(DriverEval.where(lKey.length)(i => matches(lKey(i), rCount)), leftMatched)
-  /** l ⋊ r. */
-  def rightSemi: DriverRows = r.gather(DriverEval.where(rKey.length)(i => matches(rKey(i), lCount)), rightMatched)
+  /** The rows of the `kind` join of l and r: l ⋉ r, l ⋊ r or l ⋈ r. None
+    * for any other kind, and for an inner join of more rows than an array
+    * holds.
+    */
+  def rows(kind: JoinKind): Option[DriverRows] = kind match {
+    case JoinKind.LeftSemi  => Some(l.gather(DriverEval.where(lKey.length)(i => matches(lKey(i), rCount)), leftMatched))
+    case JoinKind.RightSemi => Some(r.gather(DriverEval.where(rKey.length)(i => matches(rKey(i), lCount)), rightMatched))
+    case JoinKind.Inner if size <= Int.MaxValue => Some(inner)
+    case _ => None
+  }
 
   /** l ⋈ r, left row by left row. */
-  def inner: DriverRows = {
-    require(size <= Int.MaxValue, s"join of $size rows is too large for the driver")
+  private def inner: DriverRows =
     new DriverRows(size.toInt, {
       // Right rows grouped by key: those of key k are byKey(start(k) until start(k + 1)).
       val start = new Array[Int](nKeys + 1)
@@ -162,7 +165,6 @@ final class DriverJoin private[views] (l: DriverRows, r: DriverRows,
       l.lineage.map { case (a, rows) => a -> li.map(rows(_)) } ++
         r.lineage.map { case (a, rows) => a -> ri.map(rows(_)) }
     })
-  }
 
   private def counts(keys: Array[Int]): Array[Int] = {
     val c = new Array[Int](nKeys)

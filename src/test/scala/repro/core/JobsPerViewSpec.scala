@@ -13,12 +13,12 @@ import repro.fd.Tane
 
 /** The paper's saving, counted in Spark work. Step 1 collects each base
   * relation once, and every size InFine needs of a sub-view over them
-  * (selections, semijoins, inner joins) comes from those codes, at any
-  * collect threshold. So under the threshold a view costs one Spark job per
-  * base relation, and above it Spark runs only the FD checks: one distinct
-  * count per cardinality a validator needs. The straightforward pipeline
-  * builds its view from the same collects, so it too costs one Spark job per
-  * base relation, at any threshold.
+  * (selections, semijoins, inner joins, also above a join) comes from those
+  * codes, at any collect threshold. So under the threshold a view costs one
+  * Spark job per base relation, and above it Spark runs only the FD checks:
+  * one distinct count per cardinality a validator needs. The straightforward
+  * pipeline builds its view from the same collects, so it too costs one
+  * Spark job per base relation, at any threshold.
   */
 class JobsPerViewSpec extends SparkSpec {
 
@@ -54,17 +54,21 @@ class JobsPerViewSpec extends SparkSpec {
     }
   }
 
-  test("PTC atom ⋈ molecule at threshold 0: every Spark count is a validator's distinct count") {
-    withPtcCatalog { catalog =>
-      val counts = withThreshold(0)(countsOf(InFine.run(atomMolecule, catalog)))
-      assert(counts.nonEmpty, "at threshold 0 the join's candidates are checked in Spark")
-      counts.foreach { plan =>
-        assert(!plan.exists {
-          case j: Join => j.joinType == LeftSemi
-          case _       => false
-        }, s"a semijoin counted in Spark, its size is known on the driver:\n$plan")
-        assert(plan.exists(_.isInstanceOf[Deduplicate]),
-          s"an instance counted in Spark, its size is known on the driver:\n$plan")
+  // The second view joins a join: its rows, and so its size, are on the
+  // driver too, at any threshold.
+  Seq("atom ⋈ molecule", "[connected ⋈ bond] ⋈ molecule").foreach { name =>
+    test(s"PTC $name at threshold 0: every Spark count is a validator's distinct count") {
+      withPtcCatalog { catalog =>
+        val counts = withThreshold(0)(countsOf(InFine.run(Workloads.byName(name).spec, catalog)))
+        assert(counts.nonEmpty, "at threshold 0 the join's candidates are checked in Spark")
+        counts.foreach { plan =>
+          assert(!plan.exists {
+            case j: Join => j.joinType == LeftSemi
+            case _       => false
+          }, s"a semijoin counted in Spark, its size is known on the driver:\n$plan")
+          assert(plan.exists(_.isInstanceOf[Deduplicate]),
+            s"an instance counted in Spark, its size is known on the driver:\n$plan")
+        }
       }
     }
   }

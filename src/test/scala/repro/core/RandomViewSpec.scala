@@ -68,9 +68,10 @@ class RandomViewSpec extends SparkSpec {
     }
   }
 
-  test("mixed paths: driver-held base relations feed a Catalyst join") {
-    // 4-row bases and a 7-row join: at threshold 5 the bases stay on the
-    // driver while the join, and the selection above it, go to Spark.
+  test("mixed paths: the driver holds a join's rows while Spark checks its FDs") {
+    // 4-row bases and a 7-row join at threshold 5: the driver holds the rows
+    // of every sub-view and checks the bases, and the 4-row selection above
+    // the join, while the join's checks go to Spark.
     val l = df(Seq("k", "v"), Seq(Seq(1, "a"), Seq(1, "b"), Seq(2, "a"), Seq(3, "c")))
     val r = df(Seq("k", "w"), Seq(Seq(1, "x"), Seq(1, "y"), Seq(1, "x"), Seq(2, "z")))
     val catalog = Map("l" -> l, "r" -> r)

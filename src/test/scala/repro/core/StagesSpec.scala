@@ -103,6 +103,19 @@ class StagesSpec extends SparkSpec {
     }
   }
 
+  test("Step 1's collect is timed as its own stage, apart from base mining") {
+    val l = df(Seq("k", "a"), Seq(Seq("1", "p"), Seq("2", "q")))
+    val r = df(Seq("k2", "b"), Seq(Seq("1", "u"), Seq("2", "v")))
+    val instant = new Miner {
+      def name = "instant"
+      def mine(table: EncodedTable, deadline: Deadline): Set[FD] = Set.empty
+    }
+    val res = InFine.run(Join(Rel("l"), Rel("r"), Seq((AttrRef("l", "k"), AttrRef("r", "k2")))),
+      Map("l" -> l, "r" -> r), instant)
+    val (collect, base) = (res.stats.seconds("collect"), res.stats.seconds("base"))
+    assert(collect > 0 && base < collect, s"collect=$collect base=$base")
+  }
+
   test("Straightforward pipeline agrees with InFine and labels provenance") {
     val l = df(Seq("k", "a"), Seq(Seq("1", "p"), Seq("2", "q"), Seq("3", "r")))
     val r = df(Seq("k2", "b"), Seq(Seq("1", "u"), Seq("2", "v")))

@@ -4,10 +4,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropHelper
 import repro.fd.{AttrSet => AS}
+import repro.fd.Fixtures._
 
 class FDSetSpec extends AnyFunSuite with PropHelper {
-
-  private def fd(lhs: Seq[Int], rhs: Int) = FD(AS.fromIterable(lhs), rhs)
 
   test("FD rejects rhs inside lhs") {
     intercept[IllegalArgumentException](fd(Seq(1, 2), 1))

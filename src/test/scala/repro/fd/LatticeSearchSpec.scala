@@ -5,14 +5,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropHelper
 import repro.fd.{AttrSet => AS}
+import repro.fd.Fixtures._
 
 class LatticeSearchSpec extends AnyFunSuite with PropHelper {
-
-  private def table(rows: Seq[Seq[Any]]): EncodedTable =
-    EncodedTable.fromRows(rows,
-      IndexedSeq.tabulate(rows.headOption.map(_.size).getOrElse(0))(identity))
-
-  private def fd(lhs: Seq[Int], rhs: Int) = FD(AS.fromIterable(lhs), rhs)
 
   test("with empty known set, mineNew equals the full minimal FD set") {
     val t = table(Seq(Seq(1, "x", "p"), Seq(2, "x", "q"), Seq(3, "y", "p")))

@@ -3,7 +3,7 @@ package repro.fd
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropHelper
-import repro.fd.{AttrSet => AS}
+import repro.fd.Fixtures._
 
 /** Cross-validation of the four reimplemented miners (TANE, FUN, FastFDs,
   * HyFD) against the exponential reference miner on crafted and random
@@ -13,12 +13,6 @@ import repro.fd.{AttrSet => AS}
 class MinerSpec extends AnyFunSuite with PropHelper {
 
   private val miners: Seq[Miner] = Seq(Tane, Fun, FastFDs, HyFD)
-
-  private def table(rows: Seq[Seq[Any]]): EncodedTable =
-    EncodedTable.fromRows(rows,
-      IndexedSeq.tabulate(rows.headOption.map(_.size).getOrElse(0))(identity))
-
-  private def fd(lhs: Seq[Int], rhs: Int) = FD(AS.fromIterable(lhs), rhs)
 
   private def checkAll(t: EncodedTable, note: String = ""): Unit = {
     val expected = BruteMiner.mine(t)

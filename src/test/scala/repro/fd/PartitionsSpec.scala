@@ -4,11 +4,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropHelper
 import repro.fd.{AttrSet => AS}
+import repro.fd.Fixtures._
 
 class PartitionsSpec extends AnyFunSuite with PropHelper {
-
-  private def table(rows: Seq[Seq[Any]]): EncodedTable =
-    EncodedTable.fromRows(rows, IndexedSeq.tabulate(rows.headOption.map(_.size).getOrElse(0))(identity))
 
   test("ofColumn strips singletons") {
     val p = StrippedPartition.ofColumn(Array(0, 0, 1, 2, 2, 2), 6)

@@ -81,6 +81,20 @@ class DriverEvalSpec extends SparkSpec {
     }
   }
 
+  test("driver eval: None for an inner join of more rows than an array holds, not for its semijoins") {
+    // 46,341 rows a side, all of one key: 46,341² rows pass Int.MaxValue.
+    val n       = 46341
+    val catalog = Map("l" -> spark.range(n).selectExpr("1 AS k"), "r" -> spark.range(n).selectExpr("1 AS k2"))
+    val inner   = lr(JoinKind.Inner)
+    val schema  = ViewSchema.of(inner, t => catalog(t).columns.toSeq)
+    val driver  = DriverEval.collect(new ViewEval(schema, catalog), inner, schema.idsOf(inner))
+    val dj      = driver.join(driver.rel(Rel("l")), driver.rel(Rel("r")), inner).get
+    assert(dj.size == 2147488281L)
+    assert(dj.rows(JoinKind.Inner).isEmpty)
+    assert(dj.rows(JoinKind.LeftSemi).map(_.nRows).contains(n))
+    assert(driver.eval(inner).isEmpty)
+  }
+
   test("driver eval: None for join keys of different types, also under σ and π") {
     val inner   = lr(JoinKind.Inner)
     val catalog = Map("l" -> l, "r" -> rInt)
