@@ -78,10 +78,9 @@ final class DriverEval private (
         .reduce { (acc, next) =>
           // Composite keys: number each (key so far, next code) pair densely,
           // with one numbering shared by both sides.
-          val pairs = new java.util.HashMap[Long, Integer]()
+          val pairs = new Dictionary
           def pair(x: Array[Int], y: Array[Int]) = Array.tabulate(x.length) { i =>
-            if (x(i) < 0 || y(i) < 0) -1
-            else pairs.computeIfAbsent((x(i).toLong << 32) | y(i), _ => Integer.valueOf(pairs.size())).intValue
+            if (x(i) < 0 || y(i) < 0) -1 else pairs.encode((x(i).toLong << 32) | y(i))
           }
           (pair(acc._1, next._1), pair(acc._2, next._2))
         }
@@ -134,6 +133,24 @@ final class DriverJoin private[views] (l: DriverRows, r: DriverRows,
   val size: Long        = lKey.foldLeft(0L)((s, k) => if (k < 0) s else s + rCount(k))
   val leftMatched: Int  = lKey.count(k => k >= 0 && rCount(k) > 0)
   val rightMatched: Int = rKey.count(k => k >= 0 && lCount(k) > 0)
+
+  /** The paper's coverage of l ⋈ r (Section V, "Data"): ½ (Cov(l) + Cov(r)).
+    * A side's Cov is the mean, over its distinct keys, of the join rows per
+    * own row with that key, which for an inner join is the other side's row
+    * count for the key. Below 1 the join drops tuples, above 1 it multiplies
+    * them. A null key counts as one more distinct key with no join rows, as
+    * Spark's `groupBy` counts it for a single-column key; for a composite
+    * key every key with a null in it collapses into that one key, where a
+    * `groupBy` would count each such combination apart. No workload has a
+    * null join key.
+    */
+  lazy val coverage: Double = 0.5 * (cov(lKey, lCount, rCount) + cov(rKey, rCount, lCount))
+
+  private def cov(keys: Array[Int], own: Array[Int], other: Array[Int]): Double = {
+    val present = (0 until nKeys).filter(own(_) > 0)
+    val n       = present.size + (if (keys.contains(-1)) 1 else 0)
+    if (n == 0) 0.0 else present.map(other(_).toDouble).sum / n
+  }
 
   /** The rows of the `kind` join of l and r: l ⋉ r, l ⋊ r or l ⋈ r. None
     * for any other kind, and for an inner join of more rows than an array

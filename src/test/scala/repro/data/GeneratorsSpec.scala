@@ -154,12 +154,10 @@ class GeneratorsSpec extends SparkSpec {
     val w = Workloads.byName("active ⋈ drug")
     val cat = Workloads.catalog("PTE", spark, 0.02)
     val schema = ViewSchema.of(w.spec, t => cat(t).columns.toSeq)
-    val eval = new ViewEval(schema, cat)
+    val driver = DriverEval.collect(new ViewEval(schema, cat), w.spec, schema.idsOf(w.spec))
     w.spec match {
-      case j @ VJoin(l, r, on, _) =>
-        val (ld, rd, jd) = (eval.eval(l), eval.eval(r), eval.eval(j))
-        val cov = Coverage.of(jd, ld, rd,
-          on.map(p => s"a${schema.id(p._1)}"), on.map(p => s"a${schema.id(p._2)}"))
+      case j @ VJoin(l, r, _, _) =>
+        val cov = driver.join(driver.eval(l).get, driver.eval(r).get, j).get.coverage
         assert(cov > 0.5 && cov <= 1.0, s"coverage $cov")
       case _ => fail("expected a join")
     }
