@@ -30,12 +30,23 @@ object Harness {
 
   def spark: SparkSession = repro.SparkEnv.session
 
-  /** Cached catalog per DB at the bench scale factor. */
-  private val catalogs = scala.collection.mutable.Map.empty[String, Map[String, DataFrame]]
-  def catalog(db: String): Map[String, DataFrame] = synchronized {
-    catalogs.getOrElseUpdate(db,
-      Workloads.catalog(db, spark, sfOf(db)).map { case (n, df) => n -> df.cache() })
+  /** Cached catalog per DB at the bench scale factor, with the seconds it
+    * took to generate and materialize its cache (the session already up):
+    * Table III's "I/O s", the analog of the paper's data-loading time. Each
+    * is made once per DB.
+    */
+  private val catalogs = scala.collection.mutable.Map.empty[String, (Map[String, DataFrame], Double)]
+  private def loaded(db: String): (Map[String, DataFrame], Double) = synchronized {
+    catalogs.getOrElseUpdate(db, {
+      val session = spark
+      val t0      = System.nanoTime()
+      val cat     = Workloads.catalog(db, session, sfOf(db)).map { case (n, df) => n -> df.cache() }
+      cat.values.foreach(_.count())
+      (cat, (System.nanoTime() - t0) / 1e9)
+    })
   }
+  def catalog(db: String): Map[String, DataFrame] = loaded(db)._1
+  def loadSeconds(db: String): Double = loaded(db)._2
 
   /** Time the thunk and sample peak JVM heap while it runs. */
   def measure[T](f: => T): (T, Double, Long) = {
@@ -82,21 +93,16 @@ object Harness {
   }
 
   final case class InFineRun(result: InFineResult, seconds: Double, peakMb: Long,
-                             viewRows: Long, coverage: Double, ioSeconds: Double)
+                             viewRows: Long, coverage: Double)
 
-  /** Run InFine on a workload, with the coverage of its top-most join and an
-    * "I/O" figure (materializing/caching the base tables, the analog of the
-    * paper's data-loading time). Memoized per view.
+  /** Run InFine on a workload, with the coverage of its top-most join.
+    * Memoized per view.
     */
   def runInFine(w: Workload): InFineRun =
     synchronized(inFineCache.getOrElseUpdate(w.name, runInFineFresh(w)))
 
   private def runInFineFresh(w: Workload): InFineRun = {
-    val t0  = System.nanoTime()
     val cat = catalog(w.db)
-    cat.values.foreach(_.count()) // force caches: data "loading"
-    val io  = (System.nanoTime() - t0) / 1e9
-
     // Only the discovery pipeline is timed; the view's row count and the
     // coverage metric are reporting overhead InFine never needs, counted on
     // the driver from a second Step-1 collect. Base-table mining time is
@@ -111,7 +117,7 @@ object Harness {
     val rows = rowsOf(w.spec).nRows.toLong
     // rowsOf(w.spec) evaluated the top join, so the driver pairs it.
     val cov  = w.spec.topJoin.fold(1.0)(j => driver.join(rowsOf(j.left), rowsOf(j.right), j).get.coverage)
-    InFineRun(res, secs, peak / (1024 * 1024), rows, cov, io)
+    InFineRun(res, secs, peak / (1024 * 1024), rows, cov)
   }
 
   /** Stage shares as in the paper's Table III / Figure 5 pies: base FDs are

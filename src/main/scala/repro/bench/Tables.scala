@@ -63,12 +63,13 @@ object Tables {
       val atts = repro.fd.AttrSet.size(run.result.schema.idsOf(w.spec))
       val upS  = run.result.stats.seconds("upstaged") + run.result.stats.seconds("selection")
       val mnS  = run.result.stats.seconds("mine")
+      val ioS  = Harness.loadSeconds(w.db)
       val p    = w.paper
       val row = TableIIIRow(w.db, w.name, atts, run.viewRows, run.coverage,
-        up, inf, mine, run.result.triples.size, run.ioSeconds, upS, mnS)
+        up, inf, mine, run.result.triples.size, ioS, upS, mnS)
       println(f"${w.db}%-8s ${w.name}%-45s ${s"($atts;${run.viewRows})"}%-16s ${fmt(run.coverage)}%-9s " +
         f"${s"${fmt(up)}(${p.accUp})"}%-14s ${s"${fmt(inf)}(${p.accInf})"}%-14s ${s"${fmt(mine)}(${p.accMine})"}%-14s " +
-        f"${s"${row.totalFds}(${p.fds})"}%-10s ${s"${fmt(run.ioSeconds)}(${p.ioS})"}%-16s " +
+        f"${s"${row.totalFds}(${p.fds})"}%-10s ${s"${fmt(ioS)}(${p.ioS})"}%-16s " +
         f"${s"${fmt(upS)}(${p.upstageS})"}%-16s ${fmt(mnS)}(${p.mineS})")
       row
     }

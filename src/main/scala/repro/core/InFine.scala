@@ -120,7 +120,7 @@ object InFine {
     val eval   = new ViewEval(schema, catalog)
     val stats  = new InFineStats
     val aV     = schema.idsOf(spec)
-    val driver = stats.time("collect")(DriverEval.collect(eval, spec, aV))
+    val driver = stats.time("collect")(DriverEval.collect(eval, spec, aV, deadline))
     val base   = stats.time("base")(baseTriples(driver, spec, aV, baseMiner, deadline))
     val ctx    = new Context(schema, eval, driver, aV, stats, deadline)
     try InFineResult(schema, provFDs(ctx, spec, base).triples, stats)

@@ -35,7 +35,7 @@ object Straightforward {
     // Catalyst instead.
     val aV     = schema.idsOf(spec)
     val t0     = System.nanoTime()
-    val driver = DriverEval.collect(eval, spec, aV)
+    val driver = DriverEval.collect(eval, spec, aV, deadline)
     val (view, rows) = driver.eval(spec) match {
       case Some(in) => (driver.table(in, aV), in.nRows.toLong)
       case None     => val t = Columns.encode(eval.eval(spec), aV); (t, t.nRows.toLong)

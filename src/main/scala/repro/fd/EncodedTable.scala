@@ -70,7 +70,8 @@ object EncodedTable {
   /** Value → dense code map of the dictionary encoding. One dictionary can
     * encode several columns, so that equal values in any of them get one
     * code: join attributes share one per equivalence class, and the driver
-    * joins their instances on codes.
+    * joins their instances on codes. Not thread-safe: one thread encodes
+    * through it at a time.
     */
   final class Dictionary {
     private val codes = new java.util.HashMap[Any, Integer]()

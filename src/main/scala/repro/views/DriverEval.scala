@@ -1,9 +1,12 @@
 package repro.views
 
+import scala.concurrent.{blocking, Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
+import scala.util.{Failure, Success}
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
-import repro.fd.{AttrSet => AS, Columns, EncodedTable}
+import repro.fd.{AttrSet => AS, Columns, Deadline, EncodedTable}
 import repro.fd.EncodedTable.Dictionary
 
 /** A sub-view instance held on the driver, as the base rows behind its rows:
@@ -212,23 +215,47 @@ object DriverEval {
     * selection atom on it, which Catalyst evaluates. The join attributes of
     * one equivalence class (linked by the join conditions) share one
     * dictionary, so equal keys get equal codes across relations.
+    *
+    * Every relation is planned and collected at once, then encoded one by
+    * one in `spec.rels` order, so the shared dictionaries are used by one
+    * thread and give the same codes on every run. If a collect fails, its
+    * exception is rethrown once every other collect has returned; `deadline`
+    * is checked then too.
     */
-  def collect(eval: ViewEval, spec: ViewSpec, attrs: AS.T): DriverEval = {
+  def collect(eval: ViewEval, spec: ViewSpec, attrs: AS.T,
+              deadline: Deadline = Deadline.never): DriverEval = {
     val schema = eval.schema
     val dicts  = keyDictionaries(joinConditions(spec).map { case (a, b) => (schema.id(a), schema.id(b)) })
     val keep   = AS.union(attrs, AS.fromIterable(dicts.keys))
     val atoms  = selectionAtoms(spec).distinct
-    val types  = Map.newBuilder[Int, DataType]
-    val bases  = spec.rels.map { r =>
-      val ids  = AS.toSeq(AS.intersect(schema.attrsOf(r.alias), keep)).toIndexedSeq
-      val own  = atoms.filter(_.attr.alias == r.alias)
-      val df   = eval.relDf(r).select(ids.map(i => col(Columns.name(i))) ++ own.map(eval.predColumn): _*)
-      val rows = df.collect()
+    val plans  = spec.rels.map { r =>
+      (r, AS.toSeq(AS.intersect(schema.attrsOf(r.alias), keep)).toIndexedSeq, atoms.filter(_.attr.alias == r.alias))
+    }
+    // A relation's cost is mostly fixed (Catalyst planning, job start-up),
+    // so the collects overlap; `blocking` lets the global pool add a thread
+    // for each one waiting on Spark.
+    implicit val ec: ExecutionContext = ExecutionContext.global
+    val collected = plans.toArray.map { case (r, ids, own) =>
+      Future(blocking {
+        // Every Throwable: a Future completes only on a non-fatal one, so
+        // an OutOfMemoryError would leave the wait below hanging.
+        try Success {
+          val df = eval.relDf(r).select(ids.map(i => col(Columns.name(i))) ++ own.map(eval.predColumn): _*)
+          (df.schema, df.collect())
+        } catch { case t: Throwable => Failure(t) }
+      })
+    }.map(Await.result(_, Duration.Inf))
+    collected.foreach(_.get)
+    deadline.check("Step 1's collect")
+    val types = Map.newBuilder[Int, DataType]
+    val bases = plans.zipWithIndex.map { case ((r, ids, own), k) =>
+      val (fields, rows) = collected(k).get
+      collected(k) = null // the rows are garbage once encoded
       ids.zipWithIndex.foreach { case (i, c) =>
-        if (dicts.contains(i)) types += i -> df.schema.fields(c).dataType
+        if (dicts.contains(i)) types += i -> fields(c).dataType
       }
       val table = EncodedTable.fromCollected(rows, ids, c => dicts.getOrElse(ids(c), new Dictionary))
-      val truths = own.zipWithIndex.map { case (a, k) => a -> rows.map(truthOf(_, ids.size + k)) }
+      val truths = own.zipWithIndex.map { case (a, j) => a -> rows.map(truthOf(_, ids.size + j)) }
       r.alias -> Base(rows.length, table, truths.toMap)
     }.toMap
     new DriverEval(schema, bases, dicts, types.result())

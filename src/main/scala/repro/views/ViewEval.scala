@@ -12,12 +12,15 @@ import org.apache.spark.sql.functions.{col, lit}
   */
 final class ViewEval(val schema: ViewSchema, catalog: Map[String, DataFrame]) {
 
-  /** Base-relation instance with columns renamed to global `a<idx>` names. */
+  /** Base-relation instance with columns renamed to global `a<idx>` names,
+    * as one projection. Source names are quoted, so a dot or a backtick in
+    * one is part of the name, not a path.
+    */
   def relDf(r: Rel): DataFrame = {
     val df = catalog.getOrElse(r.table, sys.error(s"unknown base table ${r.table}"))
-    df.columns.foldLeft(df) { (acc, c) =>
-      acc.withColumnRenamed(c, schema.colName(AttrRef(r.alias, c)))
-    }
+    df.select(df.columns.toSeq.map { c =>
+      col("`" + c.replace("`", "``") + "`").as(schema.colName(AttrRef(r.alias, c)))
+    }: _*)
   }
 
   /** `p` as a Catalyst boolean column over the `a<idx>` columns. */

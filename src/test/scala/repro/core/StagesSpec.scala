@@ -116,6 +116,19 @@ class StagesSpec extends SparkSpec {
     assert(collect > 0 && base < collect, s"collect=$collect base=$base")
   }
 
+  test("an expired deadline stops InFine at Step 1's collect, before any base mining") {
+    val l = df(Seq("k", "a"), Seq(Seq("1", "p"), Seq("2", "q")))
+    val r = df(Seq("k2", "b"), Seq(Seq("1", "u"), Seq("2", "v")))
+    var mined = 0
+    val counting = new Miner {
+      def name = "counting"
+      def mine(table: EncodedTable, deadline: Deadline): Set[FD] = { mined += 1; Set.empty }
+    }
+    intercept[MinerTimeout](InFine.run(Join(Rel("l"), Rel("r"), Seq((AttrRef("l", "k"), AttrRef("r", "k2")))),
+      Map("l" -> l, "r" -> r), counting, Deadline.in(0)))
+    assert(mined == 0)
+  }
+
   test("Straightforward pipeline agrees with InFine and labels provenance") {
     val l = df(Seq("k", "a"), Seq(Seq("1", "p"), Seq("2", "q"), Seq("3", "r")))
     val r = df(Seq("k2", "b"), Seq(Seq("1", "u"), Seq("2", "v")))
@@ -159,6 +172,14 @@ class StagesSpec extends SparkSpec {
     val spec = Join(Rel("l"), Rel("r"), Seq((AttrRef("l", "k"), AttrRef("r", "k2"))))
     spark.catalog.clearCache()
     intercept[MinerTimeout](Straightforward.run(spec, Map("l" -> l, "r" -> r), Tane, Deadline.in(0)))
+    assert(spark.sharedState.cacheManager.isEmpty)
+    // An expired deadline stops the run at Step 1's collect; a miner that
+    // runs out of time stops it past the view.
+    val outOfTime = new Miner {
+      def name = "outOfTime"
+      def mine(table: EncodedTable, deadline: Deadline): Set[FD] = throw MinerTimeout(name)
+    }
+    intercept[MinerTimeout](Straightforward.run(spec, Map("l" -> l, "r" -> r), outOfTime))
     assert(spark.sharedState.cacheManager.isEmpty)
   }
 

@@ -1,9 +1,12 @@
 package repro.views
 
+import org.apache.spark.TestListenerBus
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, lit, raise_error, udf}
 import repro.SparkSpec
+import repro.core.InFine
 import repro.data.Workloads
+import repro.fd.MinerTimeout
 
 /** The driver's sub-view evaluation keeps exactly the rows Catalyst keeps,
   * and declines the joins it cannot pair.
@@ -101,5 +104,36 @@ class DriverEvalSpec extends SparkSpec {
     assert(counts(inner, catalog)._1.isEmpty)
     val above = Project(Seq(AttrRef("l", "v")), Select(Pred.Cmp(AttrRef("l", "v"), "=", "x"), inner))
     assert(counts(above, catalog)._1.isEmpty)
+  }
+
+  test("Step 1 gives each relation the same codes on every collect") {
+    // Both join keys are shared: connected and bond share bond_id's
+    // dictionary, bond and molecule share molecule_id's.
+    val catalog = Workloads.catalog("PTC", spark, sfOf("PTC")).map { case (k, df) => k -> df.cache() }
+    try {
+      val spec   = Workloads.byName("[connected ⋈ bond] ⋈ molecule").spec
+      val schema = ViewSchema.of(spec, t => catalog(t).columns.toSeq)
+      val aV     = schema.idsOf(spec)
+      def codes() = {
+        val driver = DriverEval.collect(new ViewEval(schema, catalog), spec, aV)
+        spec.rels.map(r => r.alias -> driver.baseTable(r, aV).columns.map(_.toSeq).toSeq)
+      }
+      assert(codes() == codes())
+    } finally catalog.values.foreach(_.unpersist())
+  }
+
+  test("a failing collect surfaces its own error once every other collect has returned") {
+    // r's collect fails at once; l's, on one partition, takes a second.
+    val slow    = udf { (s: String) => Thread.sleep(300); s }
+    val slowL   = l.coalesce(1).withColumn("v", slow(col("v")))
+    val failing = r.withColumn("w", raise_error(lit("no w here")))
+    spark.catalog.clearCache()
+    val e = intercept[Exception](InFine.run(lr(JoinKind.Inner), Map("l" -> slowL, "r" -> failing)))
+    assert(!e.isInstanceOf[MinerTimeout])
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .exists(c => String.valueOf(c.getMessage).contains("no w here")), e)
+    TestListenerBus.drain(spark.sparkContext)
+    assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+    assert(spark.sharedState.cacheManager.isEmpty)
   }
 }

@@ -28,6 +28,15 @@ class ViewEvalSpec extends SparkSpec {
     check(spec)
   }
 
+  test("a dot or a backtick in a base column's name is part of the name") {
+    val t      = df(Seq("a.b", "c`d"), Seq(Seq("1", "x"), Seq("2", "y")))
+    val spec   = Rel("t")
+    val schema = ViewSchema.of(spec, _ => t.columns.toSeq)
+    val d      = new ViewEval(schema, Map("t" -> t)).eval(spec)
+    assert(d.columns.toSeq == Seq("a0", "a1"))
+    assert(d.collect().map(r => (r.getString(0), r.getString(1))).toSeq == Seq(("1", "x"), ("2", "y")))
+  }
+
   test("projection keeps requested attributes") {
     val spec = Project(Seq(AttrRef("patients", "gender")), Rel("patients"))
     val schema = ViewSchema.of(spec, t => catalog(t).columns.toSeq)
