@@ -33,17 +33,23 @@ object Harness {
   /** Cached catalog per DB at the bench scale factor, with the seconds it
     * took to generate and materialize its cache (the session already up):
     * Table III's "I/O s", the analog of the paper's data-loading time. Each
-    * is made once per DB.
+    * is made once per DB. Before the first one, an untimed load of the same
+    * DB at a tiny scale pays the JVM's and Spark's first jobs, so that the
+    * first DB is not charged with them.
     */
   private val catalogs = scala.collection.mutable.Map.empty[String, (Map[String, DataFrame], Double)]
   private def loaded(db: String): (Map[String, DataFrame], Double) = synchronized {
     catalogs.getOrElseUpdate(db, {
-      val session = spark
-      val t0      = System.nanoTime()
-      val cat     = Workloads.catalog(db, session, sfOf(db)).map { case (n, df) => n -> df.cache() }
-      cat.values.foreach(_.count())
+      if (catalogs.isEmpty) load(db, 0.01).values.foreach(_.unpersist())
+      val t0  = System.nanoTime()
+      val cat = load(db, sfOf(db))
       (cat, (System.nanoTime() - t0) / 1e9)
     })
+  }
+  private def load(db: String, sf: Double): Map[String, DataFrame] = {
+    val cat = Workloads.catalog(db, spark, sf).map { case (n, df) => n -> df.cache() }
+    cat.values.foreach(_.count())
+    cat
   }
   def catalog(db: String): Map[String, DataFrame] = loaded(db)._1
   def loadSeconds(db: String): Double = loaded(db)._2

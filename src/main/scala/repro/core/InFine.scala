@@ -74,18 +74,20 @@ object InFine {
       case _      => val df = eval.eval(spec).cache(); cached += df; df
     }
 
-    /** Validator over `in` restricted to `attrs` ∩ A_V. Lazy: the instance
-      * is only read when a candidate check actually needs data, so purely
-      * logical stages never pair a join's rows nor run a Spark job. Its size
-      * is known, so `Validator.forDataFrame` only picks where the checks
-      * run; a cached projection is released with the rest.
+    /** Validator over `in` restricted to `attrs` ∩ A_V, answering first from
+      * `known` cardinalities and `in`'s size. Lazy: the instance is only read
+      * when a candidate check actually needs data, so purely logical stages
+      * never pair a join's rows nor run a Spark job. Its size is known, so
+      * `Validator.forDataFrame` only picks where the checks run; a cached
+      * projection is released with the rest.
       */
-    def validator(in: Instance, attrs: AS.T): FDValidator = new LazyValidator(() =>
-      Validator.forDataFrame(in.df, AS.intersect(attrs, minedAttrs), in.count,
-          in.rows.map(rows => driver.table(rows, _))) match {
-        case v: SparkValidator => cached += v.df; v
-        case v                 => v
-      })
+    def validator(in: Instance, attrs: AS.T, known: Map[AS.T, Long] = Map.empty): FDValidator =
+      new LazyValidator(in.count, known, () =>
+        Validator.forDataFrame(in.df, AS.intersect(attrs, minedAttrs), in.count,
+            in.rows.map(rows => driver.table(rows, _))) match {
+          case v: SparkValidator => cached += v.df; v
+          case v                 => v
+        })
   }
 
   /** A sub-view instance: the base rows behind its rows whenever
@@ -179,6 +181,20 @@ object InFine {
       dj <- ctx.stats.time("upstaged")(ctx.driver.join(l, r, j))
     } yield dj
     val instance = ctx.instance(j, onDriver.flatMap(_.rows(j.kind)))
+    val (lKeys, rKeys) = j.on.map { case (a, b) => (schema.id(a), schema.id(b)) }.unzip
+    val (lKeySet, rKeySet) = (AS.fromIterable(lKeys), AS.fromIterable(rKeys))
+    // Cardinalities the driver's per-key counts give: on l ⋈ r each side's
+    // key columns, and both together, take one value per key that matches;
+    // on l ⋉ r (l ⋊ r) the left (right) key columns do.
+    val keyCards: Map[AS.T, Long] = onDriver.fold(Map.empty[AS.T, Long]) { dj =>
+      val m = dj.matchedKeys.toLong
+      j.kind match {
+        case JoinKind.Inner     => Map(lKeySet -> m, rKeySet -> m, AS.union(lKeySet, rKeySet) -> m)
+        case JoinKind.LeftSemi  => Map(lKeySet -> m)
+        case JoinKind.RightSemi => Map(rKeySet -> m)
+        case _                  => Map.empty
+      }
+    }
 
     j.kind match {
       case JoinKind.LeftSemi | JoinKind.RightSemi =>
@@ -188,7 +204,7 @@ object InFine {
         val side = if (left) lRes else rRes
         val tpe  = if (left) FDType.UpstagedLeft else FDType.UpstagedRight
         val up = ctx.stats.time("upstaged") {
-          upstaged(ctx, side, instance.count, ctx.validator(instance, side.attrs))
+          upstaged(ctx, side, instance.count, ctx.validator(instance, side.attrs, keyCards))
         }
         NodeResult(instance, side.attrs,
           merge(side.triples, up.map(d => ProvenanceTriple(d, tpe, j))))
@@ -198,7 +214,7 @@ object InFine {
         // One lazily-materialized validator serves every stage of this join
         // node; if logical pruning leaves nothing to check, the joined
         // instance is never computed at all.
-        val joinValidator = ctx.validator(instance, attrs)
+        val joinValidator = ctx.validator(instance, attrs, keyCards)
 
         // Algorithm 3 — upstaged left/right via semijoin size checks. The
         // FDs over side I's attributes that hold on I ⋈ J are exactly those
@@ -211,9 +227,8 @@ object InFine {
           (upstaged(ctx, lRes, onDriver.fold(semiCount(JoinKind.LeftSemi))(_.leftMatched.toLong), joinValidator),
            upstaged(ctx, rRes, onDriver.fold(semiCount(JoinKind.RightSemi))(_.rightMatched.toLong), joinValidator))
         }
-        val (lKeys, rKeys) = j.on.map { case (a, b) => (schema.id(a), schema.id(b)) }.unzip
-        val left  = Side(lRes.attrs, AS.fromIterable(lKeys), lRes.fds ++ leftUp)
-        val right = Side(rRes.attrs, AS.fromIterable(rKeys), rRes.fds ++ rightUp)
+        val left  = Side(lRes.attrs, lKeySet, lRes.fds ++ leftUp)
+        val right = Side(rRes.attrs, rKeySet, rRes.fds ++ rightUp)
 
         // Join-predicate equalities: x_i ↔ y_i hold on every inner equi-join
         // result; they are Armstrong-derivable from the join condition, so

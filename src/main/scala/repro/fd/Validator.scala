@@ -39,28 +39,46 @@ final class DriverValidator(val table: EncodedTable) extends FDValidator {
   * Catalyst over a cached DataFrame whose columns are named `a<globalIdx>`.
   * This is the "mine partitions on-the-fly via groupBy/distinct checks"
   * path of the reproduction hint — the instance is never collected.
-  * `nRows` is the row count of `df`, which the caller already knows.
+  * `nRows` is the row count of `df`, which the caller already knows. Each
+  * call is one Spark job: callers memoize through [[LazyValidator]].
   */
 final class SparkValidator(val df: DataFrame, val nRows: Long) extends FDValidator {
   private val cached = df.cache()
-  private val cards  = mutable.Map.empty[AS.T, Long]
-  def cardinality(attrs: AS.T): Long = cards.getOrElseUpdate(attrs, {
+  def cardinality(attrs: AS.T): Long =
     if (AS.isEmpty(attrs)) math.min(1L, nRows)
     else Columns.select(cached, attrs).distinct().count()
-  })
 }
 
-/** Defers instance materialization until a check actually needs data — the
-  * heart of the paper's savings: when logical pruning leaves no candidate
-  * to validate, the join is never computed at all.
+/** The one memo of an instance's cardinalities, in front of a validator it
+  * builds only when a check needs data — the heart of the paper's savings:
+  * when logical pruning leaves no candidate to validate, the join is never
+  * computed at all. `nRows` is the instance's row count, which the caller
+  * knows without the validator; `known` are cardinalities known up front
+  * (a join's key sets, from its per-key counts). `cardinality(X)` answers
+  * from the memo; else with `nRows` if some answered set below X is a key
+  * (a superset of a key is a key); else from the validator, memoized.
   */
-final class LazyValidator(mk: () => FDValidator) extends FDValidator {
+final class LazyValidator(count: => Long, known: Map[AS.T, Long], mk: () => FDValidator)
+    extends FDValidator {
   private lazy val v = mk()
   /** True once some check has forced materialization. */
   @volatile var materialized = false
-  private def force: FDValidator = { materialized = true; v }
-  def nRows: Long = force.nRows
-  def cardinality(attrs: AS.T): Long = force.cardinality(attrs)
+  lazy val nRows: Long = count
+  private val memo = mutable.LongMap.from(known)
+  // The answered sets of cardinality nRows; read on the first miss.
+  private lazy val keys = mutable.ArrayBuffer.from(known.collect { case (s, c) if c == nRows => s })
+  def cardinality(attrs: AS.T): Long = memo.getOrElse(attrs, {
+    val c =
+      if (keys.exists(AS.subsetOf(_, attrs))) nRows
+      else {
+        materialized = true
+        val c = v.cardinality(attrs)
+        if (c == nRows) keys += attrs
+        c
+      }
+    memo(attrs) = c
+    c
+  })
   override def retain(sets: Iterable[AS.T]): Unit = if (materialized) v.retain(sets)
 }
 

@@ -137,6 +137,12 @@ final class DriverJoin private[views] (l: DriverRows, r: DriverRows,
   val leftMatched: Int  = lKey.count(k => k >= 0 && rCount(k) > 0)
   val rightMatched: Int = rKey.count(k => k >= 0 && lCount(k) > 0)
 
+  /** The distinct keys with rows on both sides: the distinct count, on l ⋈ r
+    * and on l ⋉ r or l ⋊ r, of either side's key columns. A null key
+    * matches nothing, as in Spark.
+    */
+  lazy val matchedKeys: Int = (0 until nKeys).count(k => lCount(k) > 0 && rCount(k) > 0)
+
   /** The paper's coverage of l ⋈ r (Section V, "Data"): ½ (Cov(l) + Cov(r)).
     * A side's Cov is the mean, over its distinct keys, of the join rows per
     * own row with that key, which for an inner join is the other side's row

@@ -16,9 +16,11 @@ import repro.fd.Tane
   * (selections, semijoins, inner joins, also above a join) comes from those
   * codes, at any collect threshold. So under the threshold a view costs one
   * Spark job per base relation, and above it Spark runs only the FD checks:
-  * one distinct count per cardinality a validator needs. The straightforward
-  * pipeline builds its view from the same collects, so it too costs one
-  * Spark job per base relation, at any threshold.
+  * one distinct count per cardinality a validator cannot derive. A join's
+  * key sets are counted on the driver, and a superset of a key is a key, so
+  * neither is counted in Spark. The straightforward pipeline builds its
+  * view from the same collects, so it too costs one Spark job per base
+  * relation, at any threshold.
   */
 class JobsPerViewSpec extends SparkSpec {
 
@@ -71,6 +73,14 @@ class JobsPerViewSpec extends SparkSpec {
         }
       }
     }
+  }
+
+  test("PTE active ⋈ drug at threshold 0: one Spark count, for the one cardinality no join key answers") {
+    // {drug.drug_id} is the join's right key, counted on the driver, and
+    // {activity, drug.drug_id} contains it, a key of the join.
+    val catalog = Workloads.catalog("PTE", spark, 1.0)
+    val counts  = withThreshold(0)(countsOf(InFine.run(Workloads.byName("active ⋈ drug").spec, catalog)))
+    assert(counts.size == 1, counts.mkString("\n"))
   }
 
   test("PTC atom ⋈ molecule: Straightforward starts at most one Spark job per base relation") {

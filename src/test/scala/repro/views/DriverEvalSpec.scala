@@ -106,6 +106,42 @@ class DriverEvalSpec extends SparkSpec {
     assert(counts(above, catalog)._1.isEmpty)
   }
 
+  /** `DriverJoin.matchedKeys` of the inner join `j`, and Catalyst's distinct
+    * counts of its left and of its right key columns on `j`.
+    */
+  private def matchedKeys(j: Join, catalog: Map[String, DataFrame]): (Int, Long, Long) = {
+    val schema = ViewSchema.of(j, t => catalog(t).columns.toSeq)
+    val eval   = new ViewEval(schema, catalog)
+    val driver = DriverEval.collect(eval, j, schema.idsOf(j))
+    val dj     = driver.join(driver.eval(j.left).get, driver.eval(j.right).get, j).get
+    val joined = eval.eval(j)
+    def distinct(keys: Seq[AttrRef]) = joined.select(keys.map(a => col(schema.colName(a))): _*).distinct().count()
+    (dj.matchedKeys, distinct(j.on.map(_._1)), distinct(j.on.map(_._2)))
+  }
+
+  test("matchedKeys: a null key matches nothing, as in Catalyst's join") {
+    val l = df(Seq("k", "v"), Seq(Seq("1", "x"), Seq(null, "y"), Seq("2", "x"), Seq(null, "z")))
+    val r = df(Seq("k2", "w"), Seq(Seq("1", "p"), Seq(null, "q"), Seq("3", "q"), Seq("1", "r")))
+    assert(matchedKeys(lr(JoinKind.Inner), Map("l" -> l, "r" -> r)) == (1, 1L, 1L))
+  }
+
+  test("matchedKeys: a composite key with a null component matches nothing") {
+    val l = df(Seq("k1", "k2"), Seq(Seq("1", "a"), Seq("1", null), Seq("2", "b"), Seq(null, "a")))
+    val r = df(Seq("j1", "j2"), Seq(Seq("1", "a"), Seq("1", null), Seq("2", "b"), Seq("2", "b"), Seq(null, "a")))
+    val j = Join(Rel("l"), Rel("r"),
+      Seq(AttrRef("l", "k1") -> AttrRef("r", "j1"), AttrRef("l", "k2") -> AttrRef("r", "j2")))
+    assert(matchedKeys(j, Map("l" -> l, "r" -> r)) == (2, 2L, 2L))
+  }
+
+  test("matchedKeys: [connected ⋈ bond] ⋈ molecule matches Catalyst's distinct key counts") {
+    val catalog = Workloads.catalog("PTC", spark, sfOf("PTC")).map { case (k, df) => k -> df.cache() }
+    try {
+      val j = Workloads.byName("[connected ⋈ bond] ⋈ molecule").spec.asInstanceOf[Join]
+      val (m, left, right) = matchedKeys(j, catalog)
+      assert(m > 0 && m == left && m == right, (m, left, right))
+    } finally catalog.values.foreach(_.unpersist())
+  }
+
   test("Step 1 gives each relation the same codes on every collect") {
     // Both join keys are shared: connected and bond share bond_id's
     // dictionary, bond and molecule share molecule_id's.
