@@ -113,7 +113,64 @@ object InFine {
   /** One input of an inner join: its attributes, its join attributes, and
     * its own plus its upstaged FDs.
     */
-  private final case class Side(attrs: AS.T, keys: AS.T, known: Set[FD])
+  private[core] final case class Side(attrs: AS.T, keys: AS.T, known: Set[FD])
+
+  /** The validator of an inner equi-join `l ⋈ r` for Algorithms 4–5: it
+    * answers from one side's FDs every check that they decide, and sends
+    * the rest to `v`, the join's own validator, so the join is read only
+    * for checks that need its data. `twins` are the join's key pairs
+    * `(x_i, y_i)` with both keys in `aV`, the view's attributes A_V.
+    *
+    *  - Twin equality: an inner equi-join pairs rows on equal keys only, and
+    *    a null key matches nothing, so `x_i = y_i` on every row of the join.
+    *    A check over a set is the same check with each twin swapped for the
+    *    other, so the decorator first folds every key into its twin on one
+    *    side, then on the other.
+    *  - Lemma 2: an FD over one side's attributes holds on `l ⋈ r` exactly
+    *    when it holds on that side's semijoin, whose rows the join only
+    *    repeats. After Algorithm 3 the side's known FDs contain every minimal
+    *    FD of that semijoin over its attributes in A_V, so `X → b` with
+    *    `X ∪ {b}` inside one side holds iff `b ∈ X` or some known `W → b`
+    *    has `W ⊆ X`.
+    *  - No key: if `X` lies inside one side and its closure under the side's
+    *    FDs misses one of the side's attributes in A_V, two rows of the
+    *    semijoin agree on `X` and differ there; both have partners on the
+    *    other side, so two rows of the join agree on `X`.
+    *
+    * Cardinalities and `retain` go to `v`. Algorithm 3's searches use `v`
+    * itself: they are what makes each side's FD set complete.
+    */
+  private[core] final class InnerJoinValidator(v: FDValidator, left: Side, right: Side,
+                                               twins: Seq[(Int, Int)], aV: AS.T)
+      extends FDValidator {
+    /** One side: its attributes in A_V, the LHSs of its known FDs by RHS,
+      * and the twins `(other, own)` its folding swaps.
+      */
+    private final class OneSide(side: Side, fold: Seq[(Int, Int)]) {
+      val attrs = AS.intersect(side.attrs, aV)
+      private val lhsOf = side.known.groupBy(_.rhs).view.mapValues(_.toSeq.map(_.lhs)).toMap
+      def set(x: AS.T): AS.T = fold.foldLeft(x) { case (s, (o, t)) =>
+        if (AS.contains(s, o)) AS.add(AS.remove(s, o), t) else s
+      }
+      def attr(a: Int): Int = fold.collectFirst { case (o, t) if o == a => t }.getOrElse(a)
+      def inside(x: AS.T): Boolean = AS.subsetOf(x, attrs)
+      def holds(lhs: AS.T, b: Int): Boolean =
+        AS.contains(lhs, b) || lhsOf.get(b).exists(_.exists(AS.subsetOf(_, lhs)))
+      def notKey(x: AS.T): Boolean = !AS.subsetOf(attrs, FDSet.closure(x, side.known))
+    }
+    private val sides = Seq(new OneSide(left, twins.map(_.swap)), new OneSide(right, twins))
+
+    def nRows: Long = v.nRows
+    def cardinality(attrs: AS.T): Long = v.cardinality(attrs)
+    override def retain(sets: Iterable[AS.T]): Unit = v.retain(sets)
+
+    override def holds(lhs: AS.T, rhs: Int): Boolean =
+      sides.find(s => s.inside(AS.add(s.set(lhs), s.attr(rhs))))
+        .fold(v.holds(lhs, rhs))(s => s.holds(s.set(lhs), s.attr(rhs)))
+
+    override def isKey(attrs: AS.T): Boolean =
+      !sides.exists { s => val x = s.set(attrs); s.inside(x) && s.notKey(x) } && v.isKey(attrs)
+  }
 
   def run(spec: ViewSpec, catalog: Map[String, DataFrame],
           baseMiner: Miner = Tane,
@@ -229,22 +286,23 @@ object InFine {
         }
         val left  = Side(lRes.attrs, lKeySet, lRes.fds ++ leftUp)
         val right = Side(rRes.attrs, rKeySet, rRes.fds ++ rightUp)
+        val twins = lKeys.zip(rKeys).filter { case (x, y) =>
+          AS.contains(ctx.minedAttrs, x) && AS.contains(ctx.minedAttrs, y)
+        }
+        // Algorithms 4–5 read the join only for checks neither side decides.
+        val joinChecks = new InnerJoinValidator(joinValidator, left, right, twins, ctx.minedAttrs)
 
         // Join-predicate equalities: x_i ↔ y_i hold on every inner equi-join
         // result; they are Armstrong-derivable from the join condition, so
         // they carry "inferred" provenance.
-        val equalities = lKeys.zip(rKeys).flatMap { case (x, y) =>
-          if (AS.contains(ctx.minedAttrs, x) && AS.contains(ctx.minedAttrs, y))
-            Seq(FD(AS.single(x), y), FD(AS.single(y), x))
-          else Seq.empty
-        }.toSet
+        val equalities = twins.flatMap { case (x, y) => Seq(FD(AS.single(x), y), FD(AS.single(y), x)) }.toSet
 
         val knownAfterUp = left.known ++ right.known ++ equalities
         val inferred = ctx.stats.time("inferred") {
-          inferFDs(ctx, joinValidator, left, right, knownAfterUp)
+          inferFDs(ctx, joinChecks, left, right, knownAfterUp)
         }
         val joinFds = ctx.stats.time("mine") {
-          mineFDs(ctx, joinValidator, left, right, knownAfterUp ++ inferred)
+          mineFDs(ctx, joinChecks, left, right, knownAfterUp ++ inferred)
         }
 
         val newTriples =

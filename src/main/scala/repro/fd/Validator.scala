@@ -5,16 +5,18 @@ import org.apache.spark.sql.DataFrame
 import repro.fd.{AttrSet => AS}
 
 /** Validity oracle for candidate FDs over one instance. Attribute indices
-  * are global; implementations translate to their own layout.
+  * are global; implementations translate to their own layout. `holds` and
+  * `isKey` are defined over `cardinality`; a decorator may answer them
+  * without it.
   */
 trait FDValidator {
   def nRows: Long
   /** Distinct count of the value combinations over `attrs`. */
   def cardinality(attrs: AS.T): Long
   /** Does `lhs → rhs` hold on the instance (null == null semantics)? */
-  final def holds(lhs: AS.T, rhs: Int): Boolean =
+  def holds(lhs: AS.T, rhs: Int): Boolean =
     cardinality(lhs) == cardinality(AS.add(lhs, rhs))
-  final def isKey(attrs: AS.T): Boolean = cardinality(attrs) == nRows
+  def isKey(attrs: AS.T): Boolean = cardinality(attrs) == nRows
   /** Keep the cached partitions of only `sets` and of single attributes. A
     * level-wise search calls this when a level is done, naming the sets the
     * next level is built from, so that it holds at most two levels.
@@ -40,13 +42,12 @@ final class DriverValidator(val table: EncodedTable) extends FDValidator {
   * This is the "mine partitions on-the-fly via groupBy/distinct checks"
   * path of the reproduction hint — the instance is never collected.
   * `nRows` is the row count of `df`, which the caller already knows. Each
-  * call is one Spark job: callers memoize through [[LazyValidator]].
+  * call is one Spark job: callers memoize through [[LazyValidator]], which
+  * also answers the empty set.
   */
 final class SparkValidator(val df: DataFrame, val nRows: Long) extends FDValidator {
   private val cached = df.cache()
-  def cardinality(attrs: AS.T): Long =
-    if (AS.isEmpty(attrs)) math.min(1L, nRows)
-    else Columns.select(cached, attrs).distinct().count()
+  def cardinality(attrs: AS.T): Long = Columns.select(cached, attrs).distinct().count()
 }
 
 /** The one memo of an instance's cardinalities, in front of a validator it
@@ -56,7 +57,8 @@ final class SparkValidator(val df: DataFrame, val nRows: Long) extends FDValidat
   * knows without the validator; `known` are cardinalities known up front
   * (a join's key sets, from its per-key counts). `cardinality(X)` answers
   * from the memo; else with `nRows` if some answered set below X is a key
-  * (a superset of a key is a key); else from the validator, memoized.
+  * (a superset of a key is a key); else, for X = ∅, with min(1, nRows);
+  * else from the validator, memoized.
   */
 final class LazyValidator(count: => Long, known: Map[AS.T, Long], mk: () => FDValidator)
     extends FDValidator {
@@ -71,8 +73,9 @@ final class LazyValidator(count: => Long, known: Map[AS.T, Long], mk: () => FDVa
     val c =
       if (keys.exists(AS.subsetOf(_, attrs))) nRows
       else {
-        materialized = true
-        val c = v.cardinality(attrs)
+        val c =
+          if (AS.isEmpty(attrs)) math.min(1L, nRows)
+          else { materialized = true; v.cardinality(attrs) }
         if (c == nRows) keys += attrs
         c
       }

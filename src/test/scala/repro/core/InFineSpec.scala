@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.fd.{AttrSet => AS, _}
 import repro.views._
@@ -159,22 +160,56 @@ class InFineSpec extends SparkSpec {
       s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
   }
 
+  /** InFine equals direct mining on `spec`, on the driver and at collect
+    * threshold 0, with the same provenance types on both paths.
+    */
+  private def onBothPaths(spec: ViewSpec, cat: Map[String, DataFrame]): Unit = {
+    val direct   = directFds(spec, cat)
+    val onDriver = InFine.run(spec, cat)
+    val inSpark  = withThreshold(0)(InFine.run(spec, cat))
+    Seq(onDriver, inSpark).foreach { res =>
+      assert(res.fds == direct, spec.render +
+        s"\nmissing=${(direct -- res.fds).map(res.schema.renderFd)}" +
+        s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
+    }
+    assert(onDriver.countByType == inSpark.countByType)
+  }
+
   test("null join keys match nothing, on the driver and at collect threshold 0") {
     // A null k on each side: an equi-join pairs neither, while FDs still
     // treat null as one ordinary value.
     val l = df(Seq("k", "v"), Seq(Seq("1", "x"), Seq(null, "y"), Seq("2", "x"), Seq(null, "z")))
     val r = df(Seq("k", "w"), Seq(Seq("1", "p"), Seq(null, "q"), Seq("3", "p"), Seq("1", "q")))
-    val cat  = Map("l" -> l, "r" -> r)
-    val spec = Join(Rel("l"), Rel("r"), Seq((AttrRef("l", "k"), AttrRef("r", "k"))))
-    val direct = directFds(spec, cat)
-    val onDriver = InFine.run(spec, cat)
-    val inSpark  = withThreshold(0)(InFine.run(spec, cat))
-    Seq(onDriver, inSpark).foreach { res =>
-      assert(res.fds == direct,
-        s"\nmissing=${(direct -- res.fds).map(res.schema.renderFd)}" +
-        s"\nextra=${(res.fds -- direct).map(res.schema.renderFd)}")
-    }
-    assert(onDriver.countByType == inSpark.countByType)
+    onBothPaths(Join(Rel("l"), Rel("r"), Seq((AttrRef("l", "k"), AttrRef("r", "k")))),
+      Map("l" -> l, "r" -> r))
+  }
+
+  test("a projection that drops one join twin still equals direct mining on both paths") {
+    // patient.pid is gone, so its twin admission.pid folds into nothing.
+    val keep = Seq(AttrRef("patient", "gender"), AttrRef("patient", "dod"),
+      AttrRef("admission", "aid"), AttrRef("admission", "pid"), AttrRef("admission", "insurance"))
+    onBothPaths(Project(keep, joinSpec), catalog)
+  }
+
+  test("a composite-key join equals direct mining on both paths") {
+    // (k1, k2) pairs: (1, a) twice on the left with different v, (2, b)
+    // twice on the right, (3, a) and (1, b) dangle, one null key component.
+    val l = df(Seq("k1", "k2", "v", "u"), Seq(Seq("1", "a", "p", "x"), Seq("1", "a", "q", "x"),
+      Seq("2", "b", "p", "y"), Seq("3", "a", "r", "y"), Seq(null, "b", "r", "x")))
+    val r = df(Seq("k1", "k2", "w"), Seq(Seq("1", "a", "m"), Seq("2", "b", "m"), Seq("2", "b", "n"),
+      Seq("1", "b", "n"), Seq(null, "b", "m")))
+    val spec = Join(Rel("l"), Rel("r"),
+      Seq((AttrRef("l", "k1"), AttrRef("r", "k1")), (AttrRef("l", "k2"), AttrRef("r", "k2"))))
+    onBothPaths(spec, Map("l" -> l, "r" -> r))
+  }
+
+  test("an aliased self-join equals direct mining on both paths") {
+    // Each employee joined with their boss: e.boss = b.id.
+    val emp = df(Seq("id", "boss", "dept", "site"), Seq(Seq("1", "1", "d1", "s1"),
+      Seq("2", "1", "d1", "s1"), Seq("3", "1", "d2", "s2"), Seq("4", "3", "d2", "s1"),
+      Seq("5", "3", "d2", "s2"), Seq("6", "9", "d3", "s3")))
+    val spec = Join(Rel("emp", "e"), Rel("emp", "b"), Seq((AttrRef("e", "boss"), AttrRef("b", "id"))))
+    onBothPaths(spec, Map("emp" -> emp))
   }
 
   test("a run at collect threshold 0 unpersists every DataFrame it cached") {

@@ -68,6 +68,14 @@ class LazyValidatorSpec extends AnyFunSuite {
     assert(counted == List(AS.of(1, 2)))
   }
 
+  test("answers the empty set without a build") {
+    val (v, built) = lazyOver()
+    assert(v.cardinality(AS.empty) == 1 && !v.isKey(AS.empty))
+    assert(!built() && !v.materialized)
+    val empty = new LazyValidator(0L, Map.empty, () => sys.error("built"))
+    assert(empty.cardinality(AS.empty) == 0 && empty.isKey(AS.empty))
+  }
+
   test("builds for a set with no known key below it") {
     val (v, built) = lazyOver(Map(AS.of(0) -> 2L, AS.of(0, 2) -> 3L))
     assert(v.cardinality(AS.of(1, 2)) == 3)
