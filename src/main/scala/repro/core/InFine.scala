@@ -63,8 +63,11 @@ object InFine {
       */
     def instance(spec: ViewSpec, rows: Option[DriverRows]): Instance = {
       lazy val df = catalyst(spec)
-      new Instance(rows, rows.fold(df.count())(_.nRows.toLong), df)
+      new Instance(rows, rows.fold(count(df))(_.nRows.toLong), df)
     }
+
+    /** `df`'s row count, a Spark action, issued only before the deadline. */
+    def count(df: DataFrame): Long = { deadline.check("a Catalyst count"); df.count() }
 
     /** A base relation as is, any other sub-view cached (lazily: nothing is
       * computed until a stage touches it).
@@ -84,7 +87,7 @@ object InFine {
     def validator(in: Instance, attrs: AS.T, known: Map[AS.T, Long] = Map.empty): FDValidator =
       new LazyValidator(in.count, known, () =>
         Validator.forDataFrame(in.df, AS.intersect(attrs, minedAttrs), in.count,
-            in.rows.map(rows => driver.table(rows, _))) match {
+            in.rows.map(rows => driver.table(rows, _)), deadline) match {
           case v: SparkValidator => cached += v.df; v
           case v                 => v
         })
@@ -279,7 +282,7 @@ object InFine {
         // violate an FD over I (Lemma 2). So the semijoin is only counted,
         // and candidates are checked on the shared join validator, whose
         // distinct counts over one side equal the semijoin's.
-        def semiCount(kind: JoinKind) = ctx.eval.eval(j.copy(kind = kind)).count()
+        def semiCount(kind: JoinKind) = ctx.count(ctx.eval.eval(j.copy(kind = kind)))
         val (leftUp, rightUp) = ctx.stats.time("upstaged") {
           (upstaged(ctx, lRes, onDriver.fold(semiCount(JoinKind.LeftSemi))(_.leftMatched.toLong), joinValidator),
            upstaged(ctx, rRes, onDriver.fold(semiCount(JoinKind.RightSemi))(_.rightMatched.toLong), joinValidator))

@@ -42,12 +42,16 @@ final class DriverValidator(val table: EncodedTable) extends FDValidator {
   * This is the "mine partitions on-the-fly via groupBy/distinct checks"
   * path of the reproduction hint — the instance is never collected.
   * `nRows` is the row count of `df`, which the caller already knows. Each
-  * call is one Spark job: callers memoize through [[LazyValidator]], which
-  * also answers the empty set.
+  * call is one Spark action: callers memoize through [[LazyValidator]],
+  * which also answers the empty set. `deadline` is checked before each one.
   */
-final class SparkValidator(val df: DataFrame, val nRows: Long) extends FDValidator {
+final class SparkValidator(val df: DataFrame, val nRows: Long,
+                           deadline: Deadline = Deadline.never) extends FDValidator {
   private val cached = df.cache()
-  def cardinality(attrs: AS.T): Long = Columns.select(cached, attrs).distinct().count()
+  def cardinality(attrs: AS.T): Long = {
+    deadline.check("SparkValidator")
+    Columns.select(cached, attrs).distinct().count()
+  }
 }
 
 /** The one memo of an instance's cardinalities, in front of a validator it
@@ -99,10 +103,15 @@ object Validator {
     * rows that the caller already knows: on the driver when `nRows` is at
     * most the collect threshold, over `table(attrs)` if the caller holds
     * the rows, else over `df` collected; above it, distinct counts in Spark.
-    * `df` is only read when the checks need it.
+    * `df` is only read when the checks need it, and each Spark action (its
+    * collect, a distinct count) is issued only before `deadline`.
     */
   def forDataFrame(df: => DataFrame, attrs: AS.T, nRows: Long,
-                   table: Option[AS.T => EncodedTable] = None): FDValidator =
-    if (nRows > collectThreshold) new SparkValidator(Columns.select(df, attrs), nRows)
-    else new DriverValidator(table.fold(Columns.encode(df, attrs))(_(attrs)))
+                   table: Option[AS.T => EncodedTable] = None,
+                   deadline: Deadline = Deadline.never): FDValidator =
+    if (nRows > collectThreshold) new SparkValidator(Columns.select(df, attrs), nRows, deadline)
+    else new DriverValidator(table.fold {
+      deadline.check("a Catalyst collect")
+      Columns.encode(df, attrs)
+    }(_(attrs)))
 }

@@ -3,7 +3,7 @@ package repro.views
 import scala.concurrent.{blocking, Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 import scala.util.{Failure, Success}
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 import repro.fd.{AttrSet => AS, Columns, Deadline, EncodedTable}
@@ -32,7 +32,7 @@ final class DriverRows(val nRows: Int, build: => Map[String, Array[Int]]) {
 final class DriverEval private (
     schema: ViewSchema,
     bases: Map[String, DriverEval.Base],
-    keyDicts: Map[Int, Dictionary],
+    nullCodes: Map[Int, Int],
     keyTypes: Map[Int, DataType]) {
   import DriverEval._
 
@@ -106,7 +106,7 @@ final class DriverEval private (
 
   /** Join-key codes of `attr` on `in`'s rows, with -1 for null. */
   private def keyCodes(in: DriverRows, attr: Int): Array[Int] = {
-    val nul = keyDicts(attr).codeOf(null)
+    val nul = nullCodes(attr)
     column(in, attr).map(c => if (c == nul) -1 else c)
   }
 
@@ -222,11 +222,11 @@ object DriverEval {
     * one equivalence class (linked by the join conditions) share one
     * dictionary, so equal keys get equal codes across relations.
     *
-    * Every relation is planned and collected at once, then encoded one by
-    * one in `spec.rels` order, so the shared dictionaries are used by one
-    * thread and give the same codes on every run. If a collect fails, its
-    * exception is rethrown once every other collect has returned; `deadline`
-    * is checked then too.
+    * Every relation is planned and collected at once, each as one
+    * [[EncodedTable.collect]], then encoded one by one in `spec.rels`
+    * order, so the shared dictionaries are used by one thread and give the
+    * same codes on every run. If a collect fails, its exception is rethrown
+    * once every other collect has returned; `deadline` is checked then too.
     */
   def collect(eval: ViewEval, spec: ViewSpec, attrs: AS.T,
               deadline: Deadline = Deadline.never): DriverEval = {
@@ -247,7 +247,7 @@ object DriverEval {
         // an OutOfMemoryError would leave the wait below hanging.
         try Success {
           val df = eval.relDf(r).select(ids.map(i => col(Columns.name(i))) ++ own.map(eval.predColumn): _*)
-          (df.schema, df.collect())
+          EncodedTable.collect(df)
         } catch { case t: Throwable => Failure(t) }
       })
     }.map(Await.result(_, Duration.Inf))
@@ -255,16 +255,18 @@ object DriverEval {
     deadline.check("Step 1's collect")
     val types = Map.newBuilder[Int, DataType]
     val bases = plans.zipWithIndex.map { case ((r, ids, own), k) =>
-      val (fields, rows) = collected(k).get
+      val data = collected(k).get
       collected(k) = null // the rows are garbage once encoded
       ids.zipWithIndex.foreach { case (i, c) =>
-        if (dicts.contains(i)) types += i -> fields(c).dataType
+        if (dicts.contains(i)) types += i -> data.schema(c).dataType
       }
-      val table = EncodedTable.fromCollected(rows, ids, c => dicts.getOrElse(ids(c), new Dictionary))
-      val truths = own.zipWithIndex.map { case (a, j) => a -> rows.map(truthOf(_, ids.size + j)) }
-      r.alias -> Base(rows.length, table, truths.toMap)
+      val table  = data.encode(ids, c => dicts.getOrElse(ids(c), new Dictionary))
+      val truths = own.zipWithIndex.map { case (a, j) => a -> data.rows.map(truthOf(_, ids.size + j)) }
+      r.alias -> Base(data.nRows, table, truths.toMap)
     }.toMap
-    new DriverEval(schema, bases, dicts, types.result())
+    // A key dictionary's string keys point into the collected rows: keep
+    // only its null code, so that no row outlives Step 1.
+    new DriverEval(schema, bases, dicts.map { case (a, d) => a -> d.codeOf(null) }, types.result())
   }
 
   /** The positions below `n` that satisfy `p`, ascending. */
@@ -275,12 +277,12 @@ object DriverEval {
     out.result()
   }
 
-  private def truthOf(row: Row, c: Int): Byte =
+  private def truthOf(row: InternalRow, c: Int): Byte =
     if (row.isNullAt(c)) Unknown else if (row.getBoolean(c)) True else False
 
-  /** Types whose collected values are equal in Java exactly when Spark's
-    * equi-join matches them. Not floating point (NaN, -0.0), binary
-    * (arrays compare by reference) or nested types.
+  /** Key types whose codes are equal exactly when Spark's equi-join
+    * matches the values. Floating point, binary and nested keys are left to
+    * Catalyst.
     */
   private def codeEquality(t: DataType): Boolean = t match {
     case StringType | BooleanType | ByteType | ShortType | IntegerType | LongType |

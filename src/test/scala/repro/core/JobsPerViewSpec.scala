@@ -2,10 +2,12 @@ package repro.core
 
 import scala.collection.mutable
 import org.apache.spark.TestListenerBus
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent}
+import org.apache.spark.sql.{DataFrame, TestSqlEvents}
 import org.apache.spark.sql.catalyst.plans.LeftSemi
 import org.apache.spark.sql.catalyst.plans.logical.{Deduplicate, Join, LogicalPlan}
 import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionEnd
 import org.apache.spark.sql.util.QueryExecutionListener
 import repro.SparkSpec
 import repro.data.Workloads
@@ -23,7 +25,9 @@ import repro.fd.Tane
   * are folded into their twins, is answered from that side's FDs (Lemma 2).
   * The straightforward pipeline builds its
   * view from the same collects, so it too costs one Spark job per base
-  * relation, at any threshold.
+  * relation, at any threshold. Step 1 reads Spark's rows without
+  * `Dataset.collect`, yet each of its collects is still one SQL action named
+  * `collect` that listeners see.
   */
 class JobsPerViewSpec extends SparkSpec {
 
@@ -42,6 +46,22 @@ class JobsPerViewSpec extends SparkSpec {
     finally spark.listenerManager.unregister(listener)
   }
 
+  /** The action names of the SQL executions that end while `body` runs. */
+  private def sqlActionsOf(body: => Any): Seq[Option[String]] = {
+    val sc      = spark.sparkContext
+    val actions = mutable.ArrayBuffer.empty[Option[String]]
+    val listener = new SparkListener {
+      override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
+        case end: SparkListenerSQLExecutionEnd => actions.synchronized(actions += TestSqlEvents.actionName(end))
+        case _ =>
+      }
+    }
+    TestListenerBus.drain(sc)
+    sc.addSparkListener(listener)
+    try { body; TestListenerBus.drain(sc); actions.synchronized(actions.toList) }
+    finally sc.removeSparkListener(listener)
+  }
+
   private def withPtcCatalog[T](body: Map[String, DataFrame] => T): T = {
     val catalog = Workloads.catalog("PTC", spark, 0.02).map { case (k, df) => k -> df.cache() }
     try body(catalog) finally catalog.values.foreach(_.unpersist())
@@ -52,9 +72,11 @@ class JobsPerViewSpec extends SparkSpec {
   test("PTC atom ⋈ molecule: at most one Spark job per base relation under the threshold") {
     withPtcCatalog { catalog =>
       val bases     = atomMolecule.rels.size
-      val onDriver  = jobsOf(InFine.run(atomMolecule, catalog))
+      var actions   = Seq.empty[Option[String]]
+      val onDriver  = jobsOf { actions = sqlActionsOf(InFine.run(atomMolecule, catalog)) }
       val inSpark   = withThreshold(0)(jobsOf(InFine.run(atomMolecule, catalog)))
       assert(onDriver <= bases, s"$onDriver jobs for $bases base relations")
+      assert(actions == Seq.fill(bases)(Some("collect")), actions)
       assert(inSpark > bases, s"$inSpark jobs at threshold 0 for $bases base relations")
     }
   }
@@ -86,9 +108,11 @@ class JobsPerViewSpec extends SparkSpec {
     val spec    = Workloads.byName("active ⋈ drug").spec
     val catalog = Workloads.catalog("PTE", spark, 1.0)
     var counts  = Seq.empty[LogicalPlan]
-    val jobs    = withThreshold(0)(jobsOf { counts = countsOf(InFine.run(spec, catalog)) })
+    var actions = Seq.empty[Option[String]]
+    val jobs    = withThreshold(0)(jobsOf { actions = sqlActionsOf { counts = countsOf(InFine.run(spec, catalog)) } })
     assert(counts.isEmpty, counts.mkString("\n"))
     assert(jobs == spec.rels.size, s"$jobs Spark jobs for ${spec.rels.size} base relations")
+    assert(actions == Seq.fill(spec.rels.size)(Some("collect")), actions)
   }
 
   test("PTC atom ⋈ molecule: Straightforward starts at most one Spark job per base relation") {

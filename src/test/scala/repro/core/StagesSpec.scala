@@ -129,6 +129,28 @@ class StagesSpec extends SparkSpec {
     assert(mined == 0)
   }
 
+  test("at threshold 0 an expired deadline stops InFine before its first distinct count") {
+    // The Theorem 3 instance: its join FD is checked on the join's data.
+    val l = df(Seq("x", "a"), Seq(Seq("0", "0"), Seq("1", "0"), Seq("1", "1"), Seq("2", "2")))
+    val r = df(Seq("y", "ap", "b"),
+      Seq(Seq("0", "0", "0"), Seq("1", "0", "0"), Seq("1", "1", "1"), Seq("2", "1", "0")))
+    val spec    = Join(Rel("l"), Rel("r"), Seq((AttrRef("l", "x"), AttrRef("r", "y"))))
+    val catalog = Map("l" -> l, "r" -> r)
+    // Base mining runs the clock out: the deadline passes after Step 1.
+    val outlasting = new Miner {
+      def name = "outlasting"
+      def mine(table: EncodedTable, deadline: Deadline): Set[FD] = {
+        while (!deadline.expired) Thread.sleep(5)
+        Tane.mine(table)
+      }
+    }
+    withThreshold(0) {
+      assert(jobsOf(InFine.run(spec, catalog)) > spec.rels.size, "the join's checks run in Spark")
+      val jobs = jobsOf(intercept[MinerTimeout](InFine.run(spec, catalog, outlasting, Deadline.in(1))))
+      assert(jobs == spec.rels.size, s"$jobs Spark jobs, past Step 1's ${spec.rels.size} collects")
+    }
+  }
+
   test("Straightforward pipeline agrees with InFine and labels provenance") {
     val l = df(Seq("k", "a"), Seq(Seq("1", "p"), Seq("2", "q"), Seq("3", "r")))
     val r = df(Seq("k2", "b"), Seq(Seq("1", "u"), Seq("2", "v")))

@@ -65,6 +65,27 @@ class EncodedTableSpec extends SparkSpec {
     }
   }
 
+  test("fromDataFrame gives every generated column type the codes of its collected rows") {
+    import java.sql.{Date, Timestamp}
+    import org.apache.spark.sql.Row
+    import org.apache.spark.sql.types._
+    val schema = StructType(Seq(
+      StructField("s", StringType), StructField("i", IntegerType), StructField("l", LongType),
+      StructField("d", DoubleType), StructField("m", DecimalType(12, 2)), StructField("t", DateType),
+      StructField("ts", TimestampType), StructField("b", BooleanType)))
+    def row(k: Int): Row = Row(s"v${k % 3}", k % 2, k.toLong % 4, (k % 3) / 4.0,
+      new java.math.BigDecimal(k % 3).movePointLeft(2).setScale(2), Date.valueOf(s"2020-01-0${k % 3 + 1}"),
+      Timestamp.valueOf(s"2020-01-01 00:00:0${k % 4}"), k % 2 == 0)
+    val rows = (0 until 12).map(row) ++ Seq(Row.fromSeq(Seq.fill(8)(null)), row(5))
+    val df   = spark.createDataFrame(spark.sparkContext.parallelize(rows, 3), schema)
+    val ids  = IndexedSeq.range(0, 8)
+    val t    = EncodedTable.fromDataFrame(df, ids)
+    // The codes of the values as `Row`s, numbered in row order.
+    val ref  = EncodedTable.fromRows(df.collect().toSeq.map(_.toSeq), ids)
+    assert(t.columns.map(_.toSeq).toSeq == ref.columns.map(_.toSeq).toSeq)
+    assert(t.columns.forall(_.max >= 2), "every column has several values and a null")
+  }
+
   test("fromDataFrame rejects schema mismatch") {
     val df = spark.range(3).toDF()
     intercept[IllegalArgumentException](EncodedTable.fromDataFrame(df, IndexedSeq(0, 1)))

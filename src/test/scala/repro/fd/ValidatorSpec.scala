@@ -53,6 +53,35 @@ class ValidatorSpec extends SparkSpec with PropHelper {
     assert(dv.holds(AS.of(0), 1))
   }
 
+  test("driver and Spark validators agree on signed zeros, NaNs, binary values and nulls") {
+    // Spark's grouping takes -0.0 as 0.0, every NaN as one value and binary
+    // values by content.
+    val negNaN = java.lang.Double.longBitsToDouble(0xfff8000000000000L)
+    val schema = StructType(Seq(
+      StructField("a0", DoubleType), StructField("a1", BinaryType), StructField("a2", StringType)))
+    val d = spark.createDataFrame(spark.sparkContext.parallelize(Seq(
+      Row(0.0, Array[Byte](1, 2), "p"),
+      Row(-0.0, Array[Byte](1, 2), "p"),
+      Row(Double.NaN, Array[Byte](3), "q"),
+      Row(negNaN, Array[Byte](3), "q"),
+      Row(null, null, "r"),
+      Row(null, Array[Byte](3), "r"))), schema)
+    val sv = new SparkValidator(d, d.count())
+    val dv = new DriverValidator(EncodedTable.fromDataFrame(d, IndexedSeq(0, 1, 2)))
+    assert(sv.cardinality(AS.of(0)) == 3 && sv.cardinality(AS.of(1)) == 3)
+    AS.allSubsets(AS.universe(3)).foreach { s =>
+      assert(sv.cardinality(s) == dv.cardinality(s), s"card ${AS.toSeq(s)}")
+    }
+    for (rhs <- 0 until 3; lhs <- AS.allSubsets(AS.remove(AS.universe(3), rhs)))
+      assert(sv.holds(lhs, rhs) == dv.holds(lhs, rhs), s"holds ${AS.toSeq(lhs)} -> $rhs")
+  }
+
+  test("SparkValidator issues no distinct count once its deadline has passed") {
+    val d  = df(rows, 3)
+    val sv = new SparkValidator(d, rows.size, Deadline.in(0))
+    assert(jobsOf(intercept[MinerTimeout](sv.cardinality(AS.of(0)))) == 0)
+  }
+
   test("SparkValidator distinct counts match DuckDB oracle") {
     val d = df(rows, 3)
     Oracle.assertEquivalent(
