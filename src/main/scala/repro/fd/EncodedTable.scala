@@ -2,10 +2,15 @@ package repro.fd
 
 import java.nio.ByteBuffer
 import scala.collection.immutable.ArraySeq
+import org.apache.spark.{SparkEnv, TaskContext}
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.execution.SQLExecution
+import org.apache.spark.sql.catalyst.expressions.{UnsafeProjection, UnsafeRow}
+import org.apache.spark.sql.execution.{LocalTableScanExec, SQLExecution}
 import org.apache.spark.sql.types._
+import org.apache.spark.unsafe.Platform
+import org.apache.spark.unsafe.array.ByteArrayMethods
 import repro.fd.{AttrSet => AS}
 
 /** Dictionary-encoded, column-major snapshot of a relational instance.
@@ -110,13 +115,26 @@ object EncodedTable {
 
   /** Collect `df` whatever its size: the caller decides what fits on the
     * driver. Its physical plan runs as one SQL action named `collect`, as
-    * `Dataset.collect` runs it, so listeners see the action and its jobs;
+    * `Dataset.collect` names it, so listeners see the action and its jobs;
     * its rows stay Spark's binary rows.
+    *
+    * The plan's rows come back in one job of [[Pack]] tasks, not through
+    * `executeCollect`: that runs `RDD.collect`, whose closures capture
+    * `RDD` and `SparkContext`, so every job had Spark's closure cleaner
+    * re-read both classes' bytecode (about half of a small collect's CPU),
+    * and it compresses every partition with LZ4 and copies every row into
+    * an array of its own on the driver. A root that Spark answers without
+    * a job, a local relation, keeps `executeCollect`, so that it still
+    * issues none.
     */
   def collect(df: DataFrame): Collected = {
     val qe = df.queryExecution
-    new Collected(df.schema,
-      SQLExecution.withNewExecutionId(qe, Some("collect"))(qe.executedPlan.executeCollect()))
+    new Collected(df.schema, SQLExecution.withNewExecutionId(qe, Some("collect")) {
+      qe.executedPlan match {
+        case local: LocalTableScanExec => local.executeCollect()
+        case plan                      => Pack.collect(plan.execute(), plan.schema)
+      }
+    })
   }
 
   /** Collect `df` and dictionary-encode it, whatever its size. Both
@@ -177,5 +195,74 @@ object EncodedTable {
       (row, c) => { val f = row.getFloat(c); if (f.isNaN) Float.NaN else if (f == 0.0f) 0.0f else f }
     case BinaryType => (row, c) => ByteBuffer.wrap(row.getBinary(c))
     case _          => (row, c) => InternalRow.copyValue(row.get(c, t))
+  }
+
+  /** The task of a collect's one job: a partition's rows packed into one
+    * byte array, uncompressed, each as its size in 8 bytes (which keeps
+    * every row word-aligned) followed by its `UnsafeRow` bytes. A row that
+    * is not an `UnsafeRow` is projected to one first. A class, not a
+    * lambda, so that Spark's closure cleaner has no bytecode to read.
+    */
+  private[fd] final class Pack(types: Array[DataType])
+      extends ((TaskContext, Iterator[InternalRow]) => Array[Byte]) with Serializable {
+    def apply(ctx: TaskContext, rows: Iterator[InternalRow]): Array[Byte] = {
+      lazy val toUnsafe = UnsafeProjection.create(types)
+      var buf = new Array[Byte](4096)
+      var n   = 0
+      while (rows.hasNext) {
+        val row = rows.next() match {
+          case u: UnsafeRow => u
+          case r            => toUnsafe(r)
+        }
+        val size = row.getSizeInBytes
+        buf = Pack.reserve(buf, n.toLong + 8 + size, ctx.partitionId())
+        Platform.putLong(buf, Platform.BYTE_ARRAY_OFFSET + n, size)
+        row.writeToMemory(buf, Platform.BYTE_ARRAY_OFFSET + n + 8)
+        n += 8 + size
+      }
+      java.util.Arrays.copyOf(buf, n)
+    }
+  }
+
+  private[fd] object Pack {
+
+    /** The most bytes one partition packs to: one JVM array. */
+    val MaxBytes: Int = ByteArrayMethods.MAX_ROUNDED_ARRAY_LENGTH
+
+    /** The rows of `rdd`, of `schema`, in one job: partition by partition,
+      * each an `UnsafeRow` over its partition's packed bytes.
+      */
+    def collect(rdd: RDD[InternalRow], schema: StructType): Array[InternalRow] = {
+      val parts = new Array[Array[Byte]](rdd.partitions.length)
+      rdd.sparkContext.runJob(rdd, new Pack(schema.fields.map(_.dataType)), parts.indices,
+        (p: Int, bytes: Array[Byte]) => parts(p) = bytes)
+      val width = schema.length
+      val rows  = Array.newBuilder[InternalRow]
+      parts.foreach { bytes =>
+        var o = 0
+        while (o < bytes.length) {
+          val size = Platform.getLong(bytes, Platform.BYTE_ARRAY_OFFSET + o).toInt
+          val row  = new UnsafeRow(width)
+          row.pointTo(bytes, Platform.BYTE_ARRAY_OFFSET + o + 8, size)
+          rows += row
+          o += 8 + size
+        }
+      }
+      rows.result()
+    }
+
+    /** `buf`, or a copy grown to hold `needed` bytes. A partition that
+      * needs more than one array holds fails here, before any allocation,
+      * rather than overflow.
+      */
+    def reserve(buf: Array[Byte], needed: Long, partition: Int): Array[Byte] =
+      if (needed <= buf.length) buf
+      else if (needed > MaxBytes) {
+        val limit = Option(SparkEnv.get).fold("unset")(_.conf.get("spark.driver.maxResultSize", "1g"))
+        throw new IllegalStateException(
+          s"partition $partition of a collect packs to at least $needed bytes, over the $MaxBytes bytes " +
+            s"of one JVM array; spark.driver.maxResultSize ($limit) bounds the whole collect, and " +
+            "each partition must also fit one array: split the input into more partitions")
+      } else java.util.Arrays.copyOf(buf, math.min(MaxBytes.toLong, math.max(needed, 2L * buf.length)).toInt)
   }
 }

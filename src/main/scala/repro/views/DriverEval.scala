@@ -13,13 +13,18 @@ import repro.fd.EncodedTable.Dictionary
   * `lineage(alias)(i)` is the row of base-relation instance `alias` that row
   * `i` comes from. `nRows` is known up front; the lineage is built on first
   * use, so a join whose instance nothing reads costs only its sizing.
+  * `deadline` is the run's, checked before a lineage is gathered.
   */
-final class DriverRows(val nRows: Int, build: => Map[String, Array[Int]]) {
+final class DriverRows(val nRows: Int, deadline: Deadline, build: => Map[String, Array[Int]]) {
   lazy val lineage: Map[String, Array[Int]] = build
 
   /** The rows at positions `keep`, in that order. */
   def gather(keep: => Array[Int], n: Int): DriverRows =
-    new DriverRows(n, { val k = keep; lineage.map { case (a, rows) => a -> k.map(rows(_)) } })
+    new DriverRows(n, deadline, {
+      deadline.check("the driver's row gather")
+      val k = keep
+      lineage.map { case (a, rows) => a -> k.map(rows(_)) }
+    })
 }
 
 /** The driver twin of [[ViewEval]]: selections, semijoins and inner
@@ -27,13 +32,15 @@ final class DriverRows(val nRows: Int, build: => Map[String, Array[Int]]) {
   * [[DriverEval.collect]] collected once, with Spark's semantics. Selection
   * atoms were evaluated by Catalyst at collect time (type coercion and null
   * handling included) and combine here under SQL's three-valued AND/OR; a
-  * null join key matches nothing.
+  * null join key matches nothing. The run's `deadline` is checked before
+  * rows are paired or gathered.
   */
 final class DriverEval private (
     schema: ViewSchema,
     bases: Map[String, DriverEval.Base],
     nullCodes: Map[Int, Int],
-    keyTypes: Map[Int, DataType]) {
+    keyTypes: Map[Int, DataType],
+    deadline: Deadline) {
   import DriverEval._
 
   /** Row count of base-relation instance `alias`. */
@@ -45,7 +52,7 @@ final class DriverEval private (
   /** Base-relation instance `r`, every row. */
   def rel(r: Rel): DriverRows = {
     val n = baseRows(r.alias)
-    new DriverRows(n, Map(r.alias -> Array.range(0, n)))
+    new DriverRows(n, deadline, Map(r.alias -> Array.range(0, n)))
   }
 
   /** σ_p: the rows on which `p` is true (not false, not unknown). */
@@ -87,7 +94,7 @@ final class DriverEval private (
           }
           (pair(acc._1, next._1), pair(acc._2, next._2))
         }
-      Some(new DriverJoin(l, r, lKey, rKey))
+      Some(new DriverJoin(l, r, lKey, rKey, deadline))
     }
   }
 
@@ -125,10 +132,11 @@ final class DriverEval private (
 /** An inner equi-join of two driver instances, sized from per-key row
   * counts: |l ⋈ r| = Σ_k |l_k|·|r_k|, and the ⋉/⋊ sizes count the rows
   * whose key has a match. Rows are paired only when the lineage of
-  * [[rows]] is read. Keys are dense ids, -1 for a null key.
+  * [[rows]] is read, and only before `deadline`. Keys are dense ids, -1
+  * for a null key.
   */
 final class DriverJoin private[views] (l: DriverRows, r: DriverRows,
-                                       lKey: Array[Int], rKey: Array[Int]) {
+                                       lKey: Array[Int], rKey: Array[Int], deadline: Deadline) {
   private val nKeys  = (lKey.iterator ++ rKey.iterator).foldLeft(-1)(math.max) + 1
   private val lCount = counts(lKey)
   private val rCount = counts(rKey)
@@ -174,7 +182,8 @@ final class DriverJoin private[views] (l: DriverRows, r: DriverRows,
 
   /** l ⋈ r, left row by left row. */
   private def inner: DriverRows =
-    new DriverRows(size.toInt, {
+    new DriverRows(size.toInt, deadline, {
+      deadline.check("the driver's join")
       // Right rows grouped by key: those of key k are byKey(start(k) until start(k + 1)).
       val start = new Array[Int](nKeys + 1)
       var k = 0
@@ -226,7 +235,8 @@ object DriverEval {
     * [[EncodedTable.collect]], then encoded one by one in `spec.rels`
     * order, so the shared dictionaries are used by one thread and give the
     * same codes on every run. If a collect fails, its exception is rethrown
-    * once every other collect has returned; `deadline` is checked then too.
+    * once every other collect has returned; `deadline` is checked then too,
+    * and kept for the joins and gathers of the instance returned.
     */
   def collect(eval: ViewEval, spec: ViewSpec, attrs: AS.T,
               deadline: Deadline = Deadline.never): DriverEval = {
@@ -266,7 +276,7 @@ object DriverEval {
     }.toMap
     // A key dictionary's string keys point into the collected rows: keep
     // only its null code, so that no row outlives Step 1.
-    new DriverEval(schema, bases, dicts.map { case (a, d) => a -> d.codeOf(null) }, types.result())
+    new DriverEval(schema, bases, dicts.map { case (a, d) => a -> d.codeOf(null) }, types.result(), deadline)
   }
 
   /** The positions below `n` that satisfy `p`, ascending. */

@@ -1,7 +1,11 @@
 package repro.fd
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.LocalTableScanExec
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
 import repro.SparkSpec
 import repro.fd.{AttrSet => AS}
+import repro.views.{AttrRef, Join, JoinKind, Rel, ViewEval, ViewSchema}
 
 class EncodedTableSpec extends SparkSpec {
 
@@ -89,5 +93,97 @@ class EncodedTableSpec extends SparkSpec {
   test("fromDataFrame rejects schema mismatch") {
     val df = spark.range(3).toDF()
     intercept[IllegalArgumentException](EncodedTable.fromDataFrame(df, IndexedSeq(0, 1)))
+  }
+
+  /** `collect(df)`'s rows are those `executeCollect` returns for `df`'s
+    * plan, value by value (binary by content) and in the same order.
+    */
+  private def assertCollectsAsSpark(df: DataFrame): Unit = {
+    import org.apache.spark.sql.catalyst.InternalRow
+    val schema = df.schema
+    def values(rows: Array[InternalRow]) =
+      rows.toSeq.map(_.toSeq(schema).map { case b: Array[Byte] => b.toSeq; case v => v })
+    val expected = values(df.queryExecution.executedPlan.executeCollect())
+    val got      = EncodedTable.collect(df)
+    assert(got.schema == schema)
+    assert(values(got.rows) == expected)
+  }
+
+  test("collect returns executeCollect's rows: empty frames") {
+    import org.apache.spark.sql.Row
+    val noPartitions = spark.createDataFrame(spark.sparkContext.emptyRDD[Row], df(Seq("a"), Nil).schema)
+    assert(noPartitions.rdd.getNumPartitions == 0)
+    Seq(noPartitions, spark.range(0, 10, 1, 3).toDF().filter("id < 0"), spark.emptyDataFrame).foreach { e =>
+      assertCollectsAsSpark(e)
+      assert(EncodedTable.collect(e).nRows == 0)
+    }
+  }
+
+  test("collect returns executeCollect's rows: 3 rows over 8 partitions") {
+    val spread = df(Seq("a", "b"), Seq(Seq("1", "x"), Seq(null, "y"), Seq("3", null))).repartition(8)
+    assert(spread.rdd.getNumPartitions == 8)
+    assertCollectsAsSpark(spread)
+    assert(EncodedTable.collect(spread).nRows == 3)
+  }
+
+  test("collect returns executeCollect's rows: every generated column type, nulls, 4 partitions") {
+    val types = spark.range(0, 200, 1, 4).selectExpr(
+      "IF(id % 9 = 0, NULL, concat('v', id % 5)) AS s",
+      "IF(id % 9 = 1, NULL, CAST(id % 2 AS INT)) AS i",
+      "IF(id % 9 = 2, NULL, id % 4) AS l",
+      "IF(id % 9 = 3, NULL, (id % 3) / 4.0D) AS d",
+      "IF(id % 9 = 4, NULL, CAST(id % 3 AS DECIMAL(12, 2)) / 100) AS m",
+      "IF(id % 9 = 5, NULL, CAST(id AS DECIMAL(38, 10)) * 1000000000) AS big",
+      "IF(id % 9 = 6, NULL, date_add(DATE'2020-01-01', CAST(id % 3 AS INT))) AS t",
+      "IF(id % 9 = 7, NULL, timestamp_seconds(id % 4)) AS ts",
+      "IF(id % 9 = 8, NULL, id % 2 = 0) AS b",
+      "IF(id % 9 = 0, NULL, CAST(concat('bin', id % 3) AS BINARY)) AS bin")
+    assert(types.rdd.getNumPartitions == 4)
+    assertCollectsAsSpark(types)
+    val got = EncodedTable.collect(types)
+    assert(got.nRows == 200)
+    assert(types.columns.indices.forall(c => got.rows.exists(_.isNullAt(c))), "every column has a null")
+  }
+
+  test("collect returns executeCollect's rows: a left outer join with an exchange under AQE") {
+    val catalog = Map(
+      "l" -> df(Seq("k", "v"), Seq(Seq("1", "x"), Seq("2", "y"), Seq("3", "x"), Seq(null, "z"))),
+      "r" -> df(Seq("k2", "w"), Seq(Seq("1", "p"), Seq("1", "q"), Seq("3", "q"), Seq("4", "p"))))
+    val j      = Join(Rel("l"), Rel("r"), Seq(AttrRef("l", "k") -> AttrRef("r", "k2")), JoinKind.LeftOuter)
+    val schema = ViewSchema.of(j, t => catalog(t).columns.toSeq)
+    val joined = new ViewEval(schema, catalog).eval(j)
+    assert(joined.queryExecution.executedPlan.isInstanceOf[AdaptiveSparkPlanExec])
+    assertCollectsAsSpark(joined)
+    assert(EncodedTable.collect(joined).nRows == 5)
+  }
+
+  test("collect of a local relation returns executeCollect's rows and runs no Spark job") {
+    val local = spark.createDataFrame(Seq((1, "a"), (2, null), (3, "c"))).toDF("n", "s")
+    assert(local.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec])
+    assertCollectsAsSpark(local)
+    assert(jobsOf(EncodedTable.collect(local)) == 0)
+  }
+
+  test("a row that is not an UnsafeRow is packed as one") {
+    import org.apache.spark.sql.catalyst.InternalRow
+    import org.apache.spark.sql.types._
+    import org.apache.spark.unsafe.types.UTF8String
+    val schema = StructType(Seq(StructField("s", StringType), StructField("n", LongType)))
+    val rows   = Seq(InternalRow(UTF8String.fromString("a"), 1L), InternalRow(null, 2L),
+      InternalRow(UTF8String.fromString("c"), null))
+    val got    = EncodedTable.Pack.collect(spark.sparkContext.parallelize(rows, 2), schema)
+    assert(got.toSeq.map(_.toSeq(schema)) == rows.map(_.toSeq(schema)))
+  }
+
+  test("a partition larger than one array fails loudly before any allocation") {
+    val buf = new Array[Byte](16)
+    assert(EncodedTable.Pack.reserve(buf, 16, 0) eq buf)
+    assert(EncodedTable.Pack.reserve(buf, 17, 0).length == 32)
+    assert(EncodedTable.Pack.reserve(buf, 100, 0).length == 100)
+    val needed = EncodedTable.Pack.MaxBytes.toLong + 1
+    val e = intercept[IllegalStateException](EncodedTable.Pack.reserve(buf, needed, 7))
+    Seq("partition 7", needed.toString, "spark.driver.maxResultSize").foreach { s =>
+      assert(e.getMessage.contains(s), e.getMessage)
+    }
   }
 }

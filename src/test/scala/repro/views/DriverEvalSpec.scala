@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions.{col, lit, raise_error, udf}
 import repro.SparkSpec
 import repro.core.InFine
 import repro.data.Workloads
-import repro.fd.MinerTimeout
+import repro.fd.{Deadline, MinerTimeout}
 
 /** The driver's sub-view evaluation keeps exactly the rows Catalyst keeps,
   * and declines the joins it cannot pair.
@@ -96,6 +96,27 @@ class DriverEvalSpec extends SparkSpec {
     assert(dj.rows(JoinKind.Inner).isEmpty)
     assert(dj.rows(JoinKind.LeftSemi).map(_.nRows).contains(n))
     assert(driver.eval(inner).isEmpty)
+  }
+
+  test("driver eval: an expired deadline stops the joins and gathers, not before") {
+    val catalog = Map("l" -> l, "r" -> r)
+    val inner   = lr(JoinKind.Inner)
+    val spec    = Select(Pred.Cmp(AttrRef("l", "v"), "=", "x"), inner)
+    val schema  = ViewSchema.of(spec, t => catalog(t).columns.toSeq)
+    val eval    = new ViewEval(schema, catalog)
+    DriverEval.collect(eval, spec, schema.idsOf(spec)) // warm, so that the collect below fits the budget
+    val deadline = Deadline.in(3)
+    val driver   = DriverEval.collect(eval, spec, schema.idsOf(spec), deadline)
+    def semi     = driver.join(driver.rel(Rel("l")), driver.rel(Rel("r")), inner).get.rows(JoinKind.LeftSemi).get
+    assert(driver.eval(inner).get.lineage("r").toSeq == Seq(0, 1, 2))
+    assert(driver.eval(spec).get.nRows == 3)
+    assert(semi.lineage("l").toSeq == Seq(0, 2))
+    while (!deadline.expired) Thread.sleep(20)
+    val joined = driver.eval(inner).get
+    assert(joined.nRows == 3, "sizing needs no pairing")
+    intercept[MinerTimeout](joined.lineage)
+    intercept[MinerTimeout](driver.eval(spec))
+    intercept[MinerTimeout](semi.lineage)
   }
 
   test("driver eval: None for join keys of different types, also under σ and π") {
