@@ -4,9 +4,10 @@ import java.nio.ByteBuffer
 import scala.collection.immutable.ArraySeq
 import org.apache.spark.{SparkEnv, TaskContext}
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.{UnsafeProjection, UnsafeRow}
+import org.apache.spark.sql.catalyst.expressions.{AttributeSeq, BindReferences, Expression, NamedExpression, UnsafeProjection, UnsafeRow}
+import org.apache.spark.sql.catalyst.plans.logical.Project
 import org.apache.spark.sql.execution.{LocalTableScanExec, SQLExecution}
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.Platform
@@ -94,45 +95,69 @@ object EncodedTable {
     def codeOf(v: Any): Int = { val c = codes.get(v); if (c == null) -1 else c }
   }
 
-  /** A DataFrame's rows as Spark's executor returned them, before any
-    * conversion to `Row`s, with the DataFrame's schema.
+  /** The rows of a collect as Spark's executor returned them, before any
+    * conversion to `Row`s, with the schema of the expressions collected.
     */
   final class Collected private[EncodedTable] (val schema: StructType, val rows: Array[InternalRow]) {
     def nRows: Int = rows.length
 
-    /** Encode column `c` as attribute `attrIds(c)` through `dictionary(c)`,
-      * called once per column; columns past `attrIds` are left out. Each
-      * column is read with one reader picked from its Spark type, so that
-      * two cells get one code exactly when Spark's grouping puts them
-      * together.
+    /** Encode column `ordinals(c)` as attribute `attrIds(c)` through
+      * `dictionary(c)`, called once per column. Each column is read with one
+      * reader picked from its Spark type, so that two cells get one code
+      * exactly when Spark's grouping puts them together.
       */
-    def encode(attrIds: IndexedSeq[Int], dictionary: Int => Dictionary): EncodedTable =
+    def encode(ordinals: IndexedSeq[Int], attrIds: IndexedSeq[Int], dictionary: Int => Dictionary): EncodedTable =
       EncodedTable.encode(ArraySeq.unsafeWrapArray(rows), attrIds, dictionary) { c =>
-        val read = reader(schema(c).dataType)
-        row => if (row.isNullAt(c)) null else read(row, c)
+        val o    = ordinals(c)
+        val read = reader(schema(o).dataType)
+        row => if (row.isNullAt(o)) null else read(row, o)
       }
   }
 
+  /** The expressions `df.select(columns)` projects, resolved against `df`'s
+    * output by Catalyst's analyzer (coercion and null handling included),
+    * neither optimized nor planned.
+    */
+  def expressions(df: DataFrame, columns: Seq[Column]): Seq[NamedExpression] =
+    df.select(columns: _*).queryExecution.analyzed match {
+      case Project(list, _) => list
+      case other            => sys.error(s"not a projection:\n$other")
+    }
+
   /** Collect `df` whatever its size: the caller decides what fits on the
-    * driver. Its physical plan runs as one SQL action named `collect`, as
+    * driver. `collect(df, df's output)`.
+    */
+  def collect(df: DataFrame): Collected = collect(df, df.queryExecution.analyzed.output)
+
+  /** Collect `exprs` over `df`'s rows, whatever their size: the caller
+    * decides what fits on the driver. `exprs` are bound to the output of
+    * `df`'s own physical plan, which Spark plans once per Dataset, so a
+    * DataFrame collected again is neither analyzed, optimized nor planned
+    * again. The plan runs as one SQL action named `collect`, as
     * `Dataset.collect` names it, so listeners see the action and its jobs;
-    * its rows stay Spark's binary rows.
+    * the rows stay Spark's binary rows, one column per expression.
     *
-    * The plan's rows come back in one job of [[Pack]] tasks, not through
-    * `executeCollect`: that runs `RDD.collect`, whose closures capture
-    * `RDD` and `SparkContext`, so every job had Spark's closure cleaner
-    * re-read both classes' bytecode (about half of a small collect's CPU),
-    * and it compresses every partition with LZ4 and copies every row into
-    * an array of its own on the driver. A root that Spark answers without
-    * a job, a local relation, keeps `executeCollect`, so that it still
+    * The plan's rows come back in one job of [[Pack]] tasks, which project
+    * `exprs` on each row, not through `executeCollect`: that runs
+    * `RDD.collect`, whose closures capture `RDD` and `SparkContext`, so
+    * every job had Spark's closure cleaner re-read both classes' bytecode
+    * (about half of a small collect's CPU), and it compresses every
+    * partition with LZ4 and copies every row into an array of its own on
+    * the driver. A root that Spark answers without a job, a local relation,
+    * keeps `executeCollect` and is projected on the driver, so that it still
     * issues none.
     */
-  def collect(df: DataFrame): Collected = {
-    val qe = df.queryExecution
-    new Collected(df.schema, SQLExecution.withNewExecutionId(qe, Some("collect")) {
-      qe.executedPlan match {
-        case local: LocalTableScanExec => local.executeCollect()
-        case plan                      => Pack.collect(plan.execute(), plan.schema)
+  def collect(df: DataFrame, exprs: Seq[NamedExpression]): Collected = {
+    val qe     = df.queryExecution
+    val plan   = qe.executedPlan
+    val bound  = BindReferences.bindReferences[Expression](exprs, new AttributeSeq(plan.output))
+    val schema = StructType(exprs.map(e => StructField(e.name, e.dataType, e.nullable)))
+    new Collected(schema, SQLExecution.withNewExecutionId(qe, Some("collect")) {
+      plan match {
+        case local: LocalTableScanExec =>
+          val project = UnsafeProjection.create(bound)
+          local.executeCollect().map(project(_).copy())
+        case _ => Pack.collect(plan.execute(), bound)
       }
     })
   }
@@ -148,7 +173,7 @@ object EncodedTable {
     val width = df.columns.length
     require(width == attrIds.size,
       s"schema mismatch: df has $width cols, ${attrIds.size} attr ids given")
-    collect(df).encode(attrIds, _ => new Dictionary)
+    collect(df).encode(attrIds.indices, attrIds, _ => new Dictionary)
   }
 
   /** Row-major literal construction for tests. */
@@ -197,23 +222,21 @@ object EncodedTable {
     case _          => (row, c) => InternalRow.copyValue(row.get(c, t))
   }
 
-  /** The task of a collect's one job: a partition's rows packed into one
-    * byte array, uncompressed, each as its size in 8 bytes (which keeps
-    * every row word-aligned) followed by its `UnsafeRow` bytes. A row that
-    * is not an `UnsafeRow` is projected to one first. A class, not a
-    * lambda, so that Spark's closure cleaner has no bytecode to read.
+  /** The task of a collect's one job: `exprs`, bound to the rows' columns,
+    * projected on each row of a partition, packed into one byte array,
+    * uncompressed, each as its size in 8 bytes (which keeps every row
+    * word-aligned) followed by its `UnsafeRow` bytes. A class, not a lambda,
+    * so that Spark's closure cleaner has no bytecode to read.
     */
-  private[fd] final class Pack(types: Array[DataType])
+  private[fd] final class Pack(exprs: Seq[Expression])
       extends ((TaskContext, Iterator[InternalRow]) => Array[Byte]) with Serializable {
     def apply(ctx: TaskContext, rows: Iterator[InternalRow]): Array[Byte] = {
-      lazy val toUnsafe = UnsafeProjection.create(types)
+      val project = UnsafeProjection.create(exprs)
+      project.initialize(ctx.partitionId())
       var buf = new Array[Byte](4096)
       var n   = 0
       while (rows.hasNext) {
-        val row = rows.next() match {
-          case u: UnsafeRow => u
-          case r            => toUnsafe(r)
-        }
+        val row  = project(rows.next())
         val size = row.getSizeInBytes
         buf = Pack.reserve(buf, n.toLong + 8 + size, ctx.partitionId())
         Platform.putLong(buf, Platform.BYTE_ARRAY_OFFSET + n, size)
@@ -229,14 +252,15 @@ object EncodedTable {
     /** The most bytes one partition packs to: one JVM array. */
     val MaxBytes: Int = ByteArrayMethods.MAX_ROUNDED_ARRAY_LENGTH
 
-    /** The rows of `rdd`, of `schema`, in one job: partition by partition,
-      * each an `UnsafeRow` over its partition's packed bytes.
+    /** `exprs`, bound to the columns of `rdd`'s rows, over every row of
+      * `rdd`, in one job: partition by partition, each an `UnsafeRow` over
+      * its partition's packed bytes.
       */
-    def collect(rdd: RDD[InternalRow], schema: StructType): Array[InternalRow] = {
+    def collect(rdd: RDD[InternalRow], exprs: Seq[Expression]): Array[InternalRow] = {
       val parts = new Array[Array[Byte]](rdd.partitions.length)
-      rdd.sparkContext.runJob(rdd, new Pack(schema.fields.map(_.dataType)), parts.indices,
+      rdd.sparkContext.runJob(rdd, new Pack(exprs), parts.indices,
         (p: Int, bytes: Array[Byte]) => parts(p) = bytes)
-      val width = schema.length
+      val width = exprs.length
       val rows  = Array.newBuilder[InternalRow]
       parts.foreach { bytes =>
         var o = 0

@@ -3,10 +3,11 @@ package repro.views
 import scala.concurrent.{blocking, Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 import scala.util.{Failure, Success}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.catalyst.expressions.NamedExpression
 import org.apache.spark.sql.types._
-import repro.fd.{AttrSet => AS, Columns, Deadline, EncodedTable}
+import repro.fd.{AttrSet => AS, Deadline, EncodedTable}
 import repro.fd.EncodedTable.Dictionary
 
 /** A sub-view instance held on the driver, as the base rows behind its rows:
@@ -225,18 +226,42 @@ object DriverEval {
   /** The join kinds the driver pairs: null padding is left to Catalyst. */
   private val pairable: Set[JoinKind] = Set(JoinKind.Inner, JoinKind.LeftSemi, JoinKind.RightSemi)
 
-  /** Collect each base-relation instance of `spec` once: its attributes in
-    * `attrs`, its join attributes, and one nullable boolean column per
-    * selection atom on it, which Catalyst evaluates. The join attributes of
-    * one equivalence class (linked by the join conditions) share one
-    * dictionary, so equal keys get equal codes across relations.
+  /** What Step 1 reads of one catalog table, for every instance of it in
+    * the view: the source columns any instance keeps, then its instances'
+    * selection atoms, each restated on the table's own columns.
+    */
+  private final case class Read(table: String, columns: IndexedSeq[String], atoms: IndexedSeq[Pred.Cmp]) {
+    def ordinal(column: String): Int = columns.indexOf(column)
+    def ordinal(atom: Pred.Cmp): Int = columns.size + atoms.indexOf(onTable(atom, table))
+
+    /** `columns` as `df`'s own output attributes, then the atoms as
+      * Catalyst resolves them over `df`'s quoted column names, so Spark's
+      * coercion and null handling stay exact.
+      */
+    def expressions(df: DataFrame): Seq[NamedExpression] = {
+      val out = df.queryExecution.analyzed.output
+      columns.map(c => out(df.columns.indexOf(c))) ++
+        (if (atoms.isEmpty) Nil
+         else EncodedTable.expressions(df, atoms.map(ViewEval.predColumn(_, a => ViewEval.sourceColumn(a.column)))))
+    }
+  }
+
+  /** Collect each catalog table of `spec` once, whatever the number of
+    * instances of it: the columns of `attrs` and the join attributes of each
+    * instance, and one nullable boolean column per selection atom on it,
+    * which Catalyst evaluates. The join attributes of one equivalence class
+    * (linked by the join conditions) share one dictionary, so equal keys get
+    * equal codes across relations.
     *
-    * Every relation is planned and collected at once, each as one
-    * [[EncodedTable.collect]], then encoded one by one in `spec.rels`
-    * order, so the shared dictionaries are used by one thread and give the
-    * same codes on every run. If a collect fails, its exception is rethrown
-    * once every other collect has returned; `deadline` is checked then too,
-    * and kept for the joins and gathers of the instance returned.
+    * Each table is collected through the catalog DataFrame's own physical
+    * plan, which Spark plans once per DataFrame, with the columns projected
+    * inside the collect's tasks ([[EncodedTable.collect]]). Every table is
+    * collected at once, then each instance is encoded from its table's rows,
+    * one by one in `spec.rels` order, so the shared dictionaries are used by
+    * one thread and give the same codes on every run. If a collect fails,
+    * its exception is rethrown once every other collect has returned;
+    * `deadline` is checked then too, and kept for the joins and gathers of
+    * the instance returned.
     */
   def collect(eval: ViewEval, spec: ViewSpec, attrs: AS.T,
               deadline: Deadline = Deadline.never): DriverEval = {
@@ -247,17 +272,22 @@ object DriverEval {
     val plans  = spec.rels.map { r =>
       (r, AS.toSeq(AS.intersect(schema.attrsOf(r.alias), keep)).toIndexedSeq, atoms.filter(_.attr.alias == r.alias))
     }
-    // A relation's cost is mostly fixed (Catalyst planning, job start-up),
-    // so the collects overlap; `blocking` lets the global pool add a thread
-    // for each one waiting on Spark.
+    val reads = spec.rels.map(_.table).distinct.map { t =>
+      val own = plans.filter(_._1.table == t)
+      Read(t, own.flatMap(_._2.map(schema.ref(_).column)).distinct.toIndexedSeq,
+        own.flatMap(_._3.map(onTable(_, t))).distinct.toIndexedSeq)
+    }
+    // A table's cost is mostly fixed (job start-up), so the collects
+    // overlap; `blocking` lets the global pool add a thread for each one
+    // waiting on Spark.
     implicit val ec: ExecutionContext = ExecutionContext.global
-    val collected = plans.toArray.map { case (r, ids, own) =>
+    val collected = reads.toArray.map { read =>
       Future(blocking {
         // Every Throwable: a Future completes only on a non-fatal one, so
         // an OutOfMemoryError would leave the wait below hanging.
         try Success {
-          val df = eval.relDf(r).select(ids.map(i => col(Columns.name(i))) ++ own.map(eval.predColumn): _*)
-          EncodedTable.collect(df)
+          val df = eval.base(read.table)
+          EncodedTable.collect(df, read.expressions(df))
         } catch { case t: Throwable => Failure(t) }
       })
     }.map(Await.result(_, Duration.Inf))
@@ -265,19 +295,27 @@ object DriverEval {
     deadline.check("Step 1's collect")
     val types = Map.newBuilder[Int, DataType]
     val bases = plans.zipWithIndex.map { case ((r, ids, own), k) =>
-      val data = collected(k).get
-      collected(k) = null // the rows are garbage once encoded
-      ids.zipWithIndex.foreach { case (i, c) =>
-        if (dicts.contains(i)) types += i -> data.schema(c).dataType
+      val t            = reads.indexWhere(_.table == r.table)
+      val (read, data) = (reads(t), collected(t).get)
+      val ordinals     = ids.map(i => read.ordinal(schema.ref(i).column))
+      ids.zip(ordinals).foreach { case (i, o) =>
+        if (dicts.contains(i)) types += i -> data.schema(o).dataType
       }
-      val table  = data.encode(ids, c => dicts.getOrElse(ids(c), new Dictionary))
-      val truths = own.zipWithIndex.map { case (a, j) => a -> data.rows.map(truthOf(_, ids.size + j)) }
+      val table  = data.encode(ordinals, ids, c => dicts.getOrElse(ids(c), new Dictionary))
+      val truths = own.map(a => a -> data.rows.map(truthOf(_, read.ordinal(a))))
+      // The rows are garbage once the table's last instance is encoded.
+      if (!plans.drop(k + 1).exists(_._1.table == r.table)) collected(t) = null
       r.alias -> Base(data.nRows, table, truths.toMap)
     }.toMap
     // A key dictionary's string keys point into the collected rows: keep
     // only its null code, so that no row outlives Step 1.
     new DriverEval(schema, bases, dicts.map { case (a, d) => a -> d.codeOf(null) }, types.result(), deadline)
   }
+
+  /** `atom` on the columns of catalog table `table`: the same atom for
+    * every instance of the table.
+    */
+  private def onTable(atom: Pred.Cmp, table: String): Pred.Cmp = atom.copy(attr = atom.attr.copy(alias = table))
 
   /** The positions below `n` that satisfy `p`, ascending. */
   private[views] def where(n: Int)(p: Int => Boolean): Array[Int] = {

@@ -12,32 +12,19 @@ import org.apache.spark.sql.functions.{col, lit}
   */
 final class ViewEval(val schema: ViewSchema, catalog: Map[String, DataFrame]) {
 
+  /** Catalog table `table`, the DataFrame itself. */
+  def base(table: String): DataFrame = catalog.getOrElse(table, sys.error(s"unknown base table $table"))
+
   /** Base-relation instance with columns renamed to global `a<idx>` names,
-    * as one projection. Source names are quoted, so a dot or a backtick in
-    * one is part of the name, not a path.
+    * as one projection.
     */
   def relDf(r: Rel): DataFrame = {
-    val df = catalog.getOrElse(r.table, sys.error(s"unknown base table ${r.table}"))
-    df.select(df.columns.toSeq.map { c =>
-      col("`" + c.replace("`", "``") + "`").as(schema.colName(AttrRef(r.alias, c)))
-    }: _*)
+    val df = base(r.table)
+    df.select(df.columns.toSeq.map(c => ViewEval.sourceColumn(c).as(schema.colName(AttrRef(r.alias, c)))): _*)
   }
 
   /** `p` as a Catalyst boolean column over the `a<idx>` columns. */
-  def predColumn(p: Pred): Column = p match {
-    case Pred.Cmp(a, op, v) =>
-      val c = col(schema.colName(a))
-      op match {
-        case "="  => c === lit(v)
-        case "<>" => c =!= lit(v)
-        case "<"  => c < lit(v)
-        case "<=" => c <= lit(v)
-        case ">"  => c > lit(v)
-        case ">=" => c >= lit(v)
-      }
-    case Pred.And(l, r) => predColumn(l) && predColumn(r)
-    case Pred.Or(l, r)  => predColumn(l) || predColumn(r)
-  }
+  def predColumn(p: Pred): Column = ViewEval.predColumn(p, a => col(schema.colName(a)))
 
   /** Evaluate to a DataFrame whose columns are exactly proj(spec). */
   def eval(spec: ViewSpec): DataFrame = spec match {
@@ -101,5 +88,29 @@ final class ViewEval(val schema: ViewSchema, catalog: Map[String, DataFrame]) {
         case k =>
           s"(SELECT * FROM ${toSql(l)} l ${k.sql} ${toSql(r)} r ON $cond)"
       }
+  }
+}
+
+object ViewEval {
+
+  /** Column `name` of a base table, quoted, so that a dot or a backtick in
+    * it is part of the name, not a path.
+    */
+  def sourceColumn(name: String): Column = col("`" + name.replace("`", "``") + "`")
+
+  /** `p` as a Catalyst boolean column, each attribute read as `column(a)`. */
+  def predColumn(p: Pred, column: AttrRef => Column): Column = p match {
+    case Pred.Cmp(a, op, v) =>
+      val c = column(a)
+      op match {
+        case "="  => c === lit(v)
+        case "<>" => c =!= lit(v)
+        case "<"  => c < lit(v)
+        case "<=" => c <= lit(v)
+        case ">"  => c > lit(v)
+        case ">=" => c >= lit(v)
+      }
+    case Pred.And(l, r) => predColumn(l, column) && predColumn(r, column)
+    case Pred.Or(l, r)  => predColumn(l, column) || predColumn(r, column)
   }
 }

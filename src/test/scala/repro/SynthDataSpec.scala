@@ -25,4 +25,17 @@ class SynthDataSpec extends SparkSpec {
                         col("l_partkey") < 1 || col("l_partkey") > 200).count()
     assert(bad == 0)
   }
+
+  test("every table is the same whatever the number of partitions that generate it") {
+    // spark.range splits its rows over this many partitions by default.
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    def rows(parts: Int) = {
+      spark.conf.set(key, parts.toLong)
+      try Seq(SynthData.lineitem(spark, 0.001), SynthData.orders(spark, 0.001),
+              SynthData.customer(spark, 0.001), SynthData.part(spark, 0.001))
+            .map(_.collect().map(_.toString).sorted.toSeq)
+      finally spark.conf.unset(key)
+    }
+    assert(rows(1) == rows(3))
+  }
 }

@@ -27,7 +27,8 @@ import repro.fd.Tane
   * view from the same collects, so it too costs one Spark job per base
   * relation, at any threshold. Step 1 reads Spark's rows without
   * `Dataset.collect`, yet each of its collects is still one SQL action named
-  * `collect` that listeners see.
+  * `collect` that listeners see: one per catalog table, over that
+  * DataFrame's own query execution.
   */
 class JobsPerViewSpec extends SparkSpec {
 
@@ -46,21 +47,25 @@ class JobsPerViewSpec extends SparkSpec {
     finally spark.listenerManager.unregister(listener)
   }
 
-  /** The action names of the SQL executions that end while `body` runs. */
-  private def sqlActionsOf(body: => Any): Seq[Option[String]] = {
-    val sc      = spark.sparkContext
-    val actions = mutable.ArrayBuffer.empty[Option[String]]
+  /** The SQL executions that end while `body` runs. */
+  private def sqlExecutionsOf(body: => Any): Seq[SparkListenerSQLExecutionEnd] = {
+    val sc   = spark.sparkContext
+    val ends = mutable.ArrayBuffer.empty[SparkListenerSQLExecutionEnd]
     val listener = new SparkListener {
       override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
-        case end: SparkListenerSQLExecutionEnd => actions.synchronized(actions += TestSqlEvents.actionName(end))
+        case end: SparkListenerSQLExecutionEnd => ends.synchronized(ends += end)
         case _ =>
       }
     }
     TestListenerBus.drain(sc)
     sc.addSparkListener(listener)
-    try { body; TestListenerBus.drain(sc); actions.synchronized(actions.toList) }
+    try { body; TestListenerBus.drain(sc); ends.synchronized(ends.toList) }
     finally sc.removeSparkListener(listener)
   }
+
+  /** The action names of the SQL executions that end while `body` runs. */
+  private def sqlActionsOf(body: => Any): Seq[Option[String]] =
+    sqlExecutionsOf(body).map(TestSqlEvents.actionName)
 
   private def withPtcCatalog[T](body: Map[String, DataFrame] => T): T = {
     val catalog = Workloads.catalog("PTC", spark, 0.02).map { case (k, df) => k -> df.cache() }
@@ -79,6 +84,30 @@ class JobsPerViewSpec extends SparkSpec {
       assert(actions == Seq.fill(bases)(Some("collect")), actions)
       assert(inSpark > bases, s"$inSpark jobs at threshold 0 for $bases base relations")
     }
+  }
+
+  test("PTC atom ⋈ molecule: a second run collects through each catalog DataFrame's own plan") {
+    // Spark plans a Dataset once, so a run that reads the catalog
+    // DataFrame's own query execution neither analyzes nor plans it again.
+    withPtcCatalog { catalog =>
+      InFine.run(atomMolecule, catalog)
+      val ran = sqlExecutionsOf(InFine.run(atomMolecule, catalog)).map(TestSqlEvents.queryExecution)
+      val own = atomMolecule.rels.map(r => catalog(r.table).queryExecution)
+      assert(ran.size == own.size, ran)
+      assert(own.forall(qe => ran.exists(_ eq qe)), ran)
+    }
+  }
+
+  test("PTE [atm ⋈ bond ⋈ atm] ⋈ drug: one Step 1 collect per distinct table") {
+    // atm1 and atm2 are two instances of atm: they share its collect.
+    val spec    = Workloads.byName("[atm ⋈ bond ⋈ atm] ⋈ drug").spec
+    val tables  = spec.rels.map(_.table).distinct
+    val catalog = Workloads.catalog("PTE", spark, 0.02).map { case (k, df) => k -> df.cache() }
+    try {
+      assert(tables.size == spec.rels.size - 1, tables)
+      val actions = sqlActionsOf(InFine.run(spec, catalog))
+      assert(actions == Seq.fill(tables.size)(Some("collect")), actions)
+    } finally catalog.values.foreach(_.unpersist())
   }
 
   // The second view joins a join: its rows, and so its size, are on the

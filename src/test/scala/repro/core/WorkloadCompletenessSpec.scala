@@ -28,9 +28,9 @@ class WorkloadCompletenessSpec extends SparkSpec {
     "MIMIC3: d_icd_diagnoses ⋈ diagnoses_icd" -> Seq(8, 0, 0, 0, 6, 2),
     "MIMIC3: [diagnoses_icd ⋈ patients] ⋈ d_icd_diagnoses" -> Seq(19, 0, 0, 2, 26, 5),
     "MIMIC3: Q(patients ⋈ admissions)" -> Seq(8, 30, 2, 0, 7, 3),
-    "TPC-H: Q2*(P ⋈ PS ⋈ S ⋈ N ⋈ R)" -> Seq(11, 39, 0, 0, 26, 12),
+    "TPC-H: Q2*(P ⋈ PS ⋈ S ⋈ N ⋈ R)" -> Seq(11, 64, 0, 0, 26, 12),
     "TPC-H: Q3*(C ⋈ O ⋈ L)" -> Seq(1, 5, 0, 0, 3, 0),
-    "TPC-H: Q9*(P ⋈ PS ⋈ S ⋈ L ⋈ O ⋈ N)" -> Seq(4, 10, 0, 0, 4, 4),
+    "TPC-H: Q9*(P ⋈ PS ⋈ S ⋈ L ⋈ O ⋈ N)" -> Seq(2, 27, 0, 0, 3, 1),
     "TPC-H: Q11*(PS ⋈ S ⋈ N)" -> Seq(31, 64, 0, 2, 27, 11),
   )
 

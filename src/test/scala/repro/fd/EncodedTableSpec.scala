@@ -1,6 +1,7 @@
 package repro.fd
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.execution.LocalTableScanExec
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
 import repro.SparkSpec
@@ -164,14 +165,85 @@ class EncodedTableSpec extends SparkSpec {
     assert(jobsOf(EncodedTable.collect(local)) == 0)
   }
 
+  /** `collect(df, exprs)`, with `exprs` the expressions of `columns` over
+    * `df`, returns the rows `df.select(columns)` gives through
+    * `executeCollect`, value by value and in order, on every collect.
+    */
+  private def assertCollectsAsSelect(df: DataFrame, columns: Seq[Column]): Unit = {
+    import org.apache.spark.sql.catalyst.InternalRow
+    val selected = df.select(columns: _*)
+    val schema   = selected.schema
+    def values(rows: Array[InternalRow]) = rows.toSeq.map(_.toSeq(schema))
+    val expected = values(selected.queryExecution.executedPlan.executeCollect())
+    assert(expected.exists(_.contains(null)), "the rows hold a null")
+    (1 to 2).foreach { pass =>
+      val got = EncodedTable.collect(df, EncodedTable.expressions(df, columns))
+      assert(got.schema == schema, s"collect #$pass")
+      assert(values(got.rows) == expected, s"collect #$pass")
+    }
+  }
+
+  // (k, v, w) with nulls; read back as (w, k, v = 'x').
+  private val kvw = Seq(Seq("1", "x", "p"), Seq("2", null, "q"), Seq(null, "x", null), Seq("4", "y", "p"))
+  private val reordered = Seq(col("w"), col("k"), (col("v") === "x").as("atom"))
+
+  test("collect(df, exprs) returns Catalyst's projection: a frame over an RDD") {
+    val rdd = df(Seq("k", "v", "w"), kvw).repartition(3)
+    assert(!rdd.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec])
+    assertCollectsAsSelect(rdd, reordered)
+  }
+
+  test("collect(df, exprs) returns Catalyst's projection: a local relation, with no Spark job") {
+    val local = spark.createDataFrame(kvw.map { case Seq(k, v, w) => (k.asInstanceOf[String],
+      v.asInstanceOf[String], w.asInstanceOf[String]) }).toDF("k", "v", "w")
+    assert(local.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec])
+    assert(jobsOf(assertCollectsAsSelect(local, reordered)) == 0)
+  }
+
+  test("collect(df, exprs) returns Catalyst's projection: a left outer join under AQE") {
+    val catalog = Map(
+      "l" -> df(Seq("k", "v"), Seq(Seq("1", "x"), Seq("2", "y"), Seq("3", "x"), Seq(null, "z"))),
+      "r" -> df(Seq("k2", "w"), Seq(Seq("1", "p"), Seq("1", "q"), Seq("3", "q"), Seq("4", "p"))))
+    val j      = Join(Rel("l"), Rel("r"), Seq(AttrRef("l", "k") -> AttrRef("r", "k2")), JoinKind.LeftOuter)
+    val schema = ViewSchema.of(j, t => catalog(t).columns.toSeq)
+    val joined = new ViewEval(schema, catalog).eval(j)
+    assert(joined.queryExecution.executedPlan.isInstanceOf[AdaptiveSparkPlanExec])
+    // a3 is r.w, null on the unmatched rows; a0 is l.k.
+    assertCollectsAsSelect(joined, Seq(col("a3"), col("a0"), (col("a1") === "x").as("atom")))
+  }
+
+  test("a cached DataFrame collected again after clearCache or unpersist caches nothing again") {
+    val sc     = spark.sparkContext
+    def cached = spark.range(0, 100, 1, 2).selectExpr("id % 7 AS k").cache()
+    spark.catalog.clearCache()
+    val before = sc.getPersistentRDDs.keySet
+    def assertNothingCached(): Unit = {
+      assert(sc.getPersistentRDDs.keySet == before)
+      assert(spark.sharedState.cacheManager.isEmpty)
+    }
+    val cleared = cached
+    assert(EncodedTable.collect(cleared).nRows == 100)
+    assert(sc.getPersistentRDDs.keySet != before, "the first collect fills the cache")
+    spark.catalog.clearCache()
+    assert(EncodedTable.collect(cleared).nRows == 100)
+    assertNothingCached()
+    val unpersisted = cached
+    assert(EncodedTable.collect(unpersisted).nRows == 100)
+    unpersisted.unpersist()
+    assert(EncodedTable.collect(unpersisted).nRows == 100)
+    assertNothingCached()
+  }
+
   test("a row that is not an UnsafeRow is packed as one") {
     import org.apache.spark.sql.catalyst.InternalRow
+    import org.apache.spark.sql.catalyst.expressions.BoundReference
     import org.apache.spark.sql.types._
     import org.apache.spark.unsafe.types.UTF8String
     val schema = StructType(Seq(StructField("s", StringType), StructField("n", LongType)))
     val rows   = Seq(InternalRow(UTF8String.fromString("a"), 1L), InternalRow(null, 2L),
       InternalRow(UTF8String.fromString("c"), null))
-    val got    = EncodedTable.Pack.collect(spark.sparkContext.parallelize(rows, 2), schema)
+    val cols   = schema.fields.toSeq.zipWithIndex.map { case (f, i) => BoundReference(i, f.dataType, f.nullable) }
+    val got    = EncodedTable.Pack.collect(spark.sparkContext.parallelize(rows, 2), cols)
     assert(got.toSeq.map(_.toSeq(schema)) == rows.map(_.toSeq(schema)))
   }
 

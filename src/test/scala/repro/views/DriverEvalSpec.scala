@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions.{col, lit, raise_error, udf}
 import repro.SparkSpec
 import repro.core.InFine
 import repro.data.Workloads
-import repro.fd.{Deadline, MinerTimeout}
+import repro.fd.{Deadline, EncodedTable, MinerTimeout}
 
 /** The driver's sub-view evaluation keeps exactly the rows Catalyst keeps,
   * and declines the joins it cannot pair.
@@ -63,6 +63,32 @@ class DriverEvalSpec extends SparkSpec {
     test(s"driver σ: $name") {
       assert(counts(Select(p, Rel("t")), t) == (Some(expected), expected))
     }
+  }
+
+  test("Step 1 reads source columns whose names hold a dot or a backtick, with atoms on them") {
+    val rows = Seq(Seq("1", "x"), Seq("2", "y"), Seq("1", null), Seq(null, "x"))
+    val odd  = Map("o" -> df(Seq("a.b", "c`d"), rows))
+    val ab   = Pred.Cmp(AttrRef("o", "a.b"), "=", 1)
+    val cd   = Pred.Cmp(AttrRef("o", "c`d"), "=", "x")
+    Seq(ab -> 2L, cd -> 2L, Pred.And(ab, cd) -> 1L, Pred.Or(ab, cd) -> 3L).foreach { case (p, n) =>
+      assert(counts(Select(p, Rel("o")), odd) == (Some(n), n), Render.pred(p))
+    }
+    val spec   = Select(Pred.And(ab, cd), Rel("o"))
+    val schema = ViewSchema.of(spec, t => odd(t).columns.toSeq)
+    val codes  = DriverEval.collect(new ViewEval(schema, odd), spec, schema.idsOf(spec))
+      .baseTable(Rel("o"), schema.idsOf(spec)).columns.map(_.toSeq).toSeq
+    assert(codes == EncodedTable.fromRows(rows, IndexedSeq(0, 1)).columns.map(_.toSeq).toSeq)
+  }
+
+  test("an aliased self-join keeps Catalyst's rows under atoms on either instance") {
+    val self = Map("l" -> df(Seq("k", "v"), Seq(Seq("1", "x"), Seq("1", "y"), Seq("2", "x"), Seq(null, "x"))))
+    val join = Join(Rel("l", "l1"), Rel("l", "l2"), Seq(AttrRef("l1", "k") -> AttrRef("l2", "k")))
+    def v(alias: String) = Pred.Cmp(AttrRef(alias, "v"), "=", "x")
+    Seq(v("l1"), Pred.And(v("l1"), v("l2")), Pred.Or(v("l2"), Pred.Cmp(AttrRef("l1", "k"), "=", "2")))
+      .foreach { p =>
+        val (driver, catalyst) = counts(Select(p, join), self)
+        assert(catalyst > 0 && driver.contains(catalyst), Render.pred(p))
+      }
   }
 
   // l(k, v) and r(k2, w) with string keys; rInt is r with an int key.
